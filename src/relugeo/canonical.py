@@ -138,13 +138,14 @@ class Different:
 
 
 def _as_form(obj) -> CanonicalForm:
+    """Canonical form of a net, effective tuple or canonical form."""
     if isinstance(obj, CanonicalForm):
         return obj
     if isinstance(obj, ShallowNet):
         obj = effective_tuple(obj)
     if isinstance(obj, EffectiveTuple):
         return canonicalize(obj)
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+    raise ValueError("expected a net, effective tuple or canonical form")
 
 
 def equivalence(x, y):

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from . import jsonio
-from .canonical import CanonicalForm, canonicalize, equivalence
+from .canonical import CanonicalForm, _as_form, equivalence, evaluate_cf
 from .errors import NotRepresentable, NotTransversal, ParseError, RelugeoError
 from .exact import rat, rat_str
-from .minimality import classify, enumerate_minimal
+from .minimality import DEFAULT_CAP, classify, enumerate_minimal
 from .network import (
     EffectiveTuple,
     ShallowNet,
@@ -25,19 +24,8 @@ from .network import (
     evaluate_tuple,
     random_net,
 )
-from .canonical import evaluate_cf
 from .pwa import PWASpec
 from .synthesis import check_transversality, synthesize
-
-
-def _as_form(obj) -> CanonicalForm:
-    if isinstance(obj, ShallowNet):
-        obj = effective_tuple(obj)
-    if isinstance(obj, EffectiveTuple):
-        return canonicalize(obj)
-    if isinstance(obj, CanonicalForm):
-        return obj
-    raise ValueError("expected a net, effective tuple or canonical form")
 
 
 def _parse_r_list(text):
@@ -132,13 +120,13 @@ def build_parser():
 
     p = sub.add_parser("classify", help="minimal width, case and manifold statistics")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=24)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--r", default="0", help="comma-separated offsets for infinite families")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("enum", help="enumerate all minimal representations")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=24)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--r", default="0", help="comma-separated offsets for infinite families")
     p.set_defaults(func=_cmd_enum)
 

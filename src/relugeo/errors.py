@@ -46,6 +46,10 @@ class CapExceeded(RelugeoError):
     pass
 
 
+class SchemaError(RelugeoError):
+    """JSON input whose values have the wrong type or shape."""
+
+
 class ParseError(RelugeoError):
     """Syntax error in the piecewise-affine expression grammar.
 

@@ -7,6 +7,10 @@ zero, gcd one, first nonzero entry positive.  The sign convention doubles as
 the orientation cone: a nonzero vector is positively oriented iff its first
 nonzero coordinate is positive, which is decidable over the rationals without
 square roots.
+
+There is one elimination routine, ``solve_affine`` (Gauss-Jordan over
+``Fraction``); ``rank`` and ``in_span`` read their answers off its particular
+solution and null space.
 """
 
 from __future__ import annotations
@@ -48,16 +52,8 @@ def dot(a, b) -> Fraction:
     return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a):
-    return tuple(c * x for x in a)
 
 
 def is_zero(a) -> bool:
@@ -86,47 +82,6 @@ def primitive_direction(v) -> tuple[tuple[int, ...], Fraction]:
     d = tuple(sign * (e // g) for e in w)
     s = Fraction(sign * g, denom)
     return d, s
-
-
-def _integer_rows(rows):
-    """Scale each row to integers; row scaling preserves rank."""
-    out = []
-    for row in rows:
-        row = vec(row)
-        denom = 1
-        for x in row:
-            denom = lcm(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
-
-
-def rank(rows) -> int:
-    """Rank of the matrix with the given rows, by fraction-free elimination."""
-    rows = list(rows)
-    if not rows:
-        return 0
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise DimensionMismatch("rank: rows of unequal length")
-    m = _integer_rows(rows)
-    n_rows = len(m)
-    r = 0
-    prev = 1
-    for col in range(width):
-        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(col + 1, width):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == n_rows:
-            break
-    return r
 
 
 def solve_affine(rows, rhs, ncols):
@@ -177,26 +132,38 @@ def solve_affine(rows, rhs, ncols):
     return tuple(particular), basis
 
 
+def rank(rows) -> int:
+    """Rank of the matrix with the given rows: columns minus nullity."""
+    rows = list(rows)
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    _, nullspace = solve_affine(rows, [0] * len(rows), ncols)
+    return ncols - len(nullspace)
+
+
 def in_span(v, basis):
     """Coefficients expressing v in the span of the basis vectors, or None.
 
-    When the basis is linearly dependent it is reduced to its first generator
-    and a single coefficient is reported.
+    When two generators are linearly dependent and the first is nonzero, the
+    basis is reduced to its first generator and a single coefficient is
+    reported.
     """
     v = vec(v)
     basis = [vec(b) for b in basis]
     for b in basis:
         if len(b) != len(v):
             raise DimensionMismatch("in_span: mixed vector lengths")
-    if len(basis) == 2 and rank(basis) < 2:
-        basis = basis[:1]
-    if not basis:
-        return () if is_zero(v) else None
     rows = [[b[k] for b in basis] for k in range(len(v))]
     sol = solve_affine(rows, v, len(basis))
     if sol is None:
         return None
-    return tuple(sol[0])
+    coeffs, nullspace = sol
+    if len(basis) == 2 and nullspace and not is_zero(basis[0]):
+        # the first column is the only pivot, so the particular solution is
+        # (c, 0) with c the coefficient on the first generator alone
+        return coeffs[:1]
+    return coeffs
 
 
 def affine_fit(points, values):

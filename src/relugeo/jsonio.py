@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 
 from .canonical import CanonicalForm, Different, Equal, EqualUpToAffine
+from .errors import SchemaError
 from .exact import rat, rat_str
 from .minimality import KIND_FRESH, MinimalityReport, RepresentationFamily
 from .network import Breakline, EffectiveTuple, Neuron, ShallowNet
@@ -158,13 +159,21 @@ def pwa_spec_from_dict(data: dict) -> PWASpec:
 
 
 def load(path: str):
-    """Load any known object from a JSON file, sniffing its schema by keys."""
+    """Load any known object from a JSON file, sniffing its schema by keys.
+
+    Values of the wrong type or shape raise SchemaError.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    return from_dict(data)
+    try:
+        return from_dict(data)
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object, found {type(data).__name__}")
     if "W1" in data:
         return net_from_dict(data)
     if "neurons" in data:

@@ -15,7 +15,7 @@ touching the J machinery; tests play the two against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
@@ -263,17 +263,25 @@ def classify(cf: CanonicalForm, cap: int = DEFAULT_CAP, r_samples=(0,)) -> Minim
 # n+2 neurons).
 
 
-def _exists_with_width(cf, k):
+def _assignments(cf, k):
+    """Every admissible assignment of k neurons, for the searches below.
+
+    Yields ``(orient, split, null, fresh)``.  ``orient`` maps each term
+    carried by a single neuron to that neuron's orientation.  ``split`` maps
+    each term carried by an opposite pair to the kink of its negative neuron:
+    a particular solution of the residual system, whose freedom ``null``
+    spans.  ``fresh`` is the affine part left to an off-breakline cancelling
+    pair, or None when there is no such pair.  A split is admissible unless a
+    pinned coordinate gives one of the pair's neurons a zero kink.
+    """
     n = cf.n
     target = tuple(-a for a in cf.affine)
     dirs = [vec(bl.direction) for bl in cf.breaklines]
     kinks = cf.kinks
     for extra_pair in (0, 1):
         n_doubles = k - n - 2 * extra_pair
-        if n_doubles < 0 or n_doubles > n:
-            continue
-        if extra_pair and n_doubles > 0:
-            continue  # would need more than n+2 neurons, never minimal here
+        if n_doubles < 0 or n_doubles > n or (extra_pair and n_doubles > 0):
+            continue  # more than n+2 neurons, never minimal here
         for doubles in combinations(range(n), n_doubles):
             singles = [i for i in range(n) if i not in doubles]
             for eps in product((1, -1), repeat=len(singles)):
@@ -283,28 +291,22 @@ def _exists_with_width(cf, k):
                         for c in range(cf.d0):
                             s0[c] += kinks[i] * dirs[i][c]
                 residual = tuple(t - s for t, s in zip(target, s0))
+                orient = dict(zip(singles, eps))
                 if extra_pair:
                     if not is_zero(residual):
-                        return True
+                        yield orient, {}, [], residual
                     continue
-                if not doubles:
-                    if is_zero(residual):
-                        return True
-                    continue
+                # with no doubled term the system is consistent iff residual = 0
                 rows = [[dirs[i][c] for i in doubles] for c in range(cf.d0)]
                 sol = solve_affine(rows, residual, len(doubles))
                 if sol is None:
                     continue
                 part, null = sol
-                ok = True
-                for idx, i in enumerate(doubles):
-                    free = any(v[idx] != 0 for v in null)
-                    if not free and part[idx] in (0, kinks[i]):
-                        ok = False
-                        break
-                if ok:
-                    return True
-    return False
+                if all(
+                    any(v[idx] != 0 for v in null) or part[idx] not in (0, kinks[i])
+                    for idx, i in enumerate(doubles)
+                ):
+                    yield orient, dict(zip(doubles, part)), null, None
 
 
 def brute_force_min_width(cf: CanonicalForm, width_limit: int) -> int:
@@ -320,7 +322,7 @@ def brute_force_min_width(cf: CanonicalForm, width_limit: int) -> int:
         # responses an opposite pair; a single neuron is never affine
         return 2 if width_limit >= 2 else width_limit + 1
     for k in range(n, width_limit + 1):
-        if _exists_with_width(cf, k):
+        if any(True for _ in _assignments(cf, k)):
             return k
     return width_limit + 1
 
@@ -338,63 +340,29 @@ def brute_force_minimal_tuples(cf: CanonicalForm, r_samples=(0,)):
     k = brute_force_min_width(cf, n + 2)
     if k > n + 2:
         raise AssertionError("every canonical form is representable with n+2 neurons")
-    target = tuple(-a for a in cf.affine)
-    dirs = [vec(bl.direction) for bl in cf.breaklines]
-    kinks = cf.kinks
     found = set()
-    for extra_pair in (0, 1):
-        n_doubles = k - n - 2 * extra_pair
-        if n_doubles < 0 or n_doubles > n or (extra_pair and n_doubles > 0):
+    for orient, neg_split, null, fresh in _assignments(cf, k):
+        assert not null, "underdetermined split cannot occur at minimal width"
+        base = []
+        neg_kq = Fraction(0)
+        for i, (bl, kk) in enumerate(cf.terms):
+            if i in neg_split:
+                base.append(Neuron(bl, kk - neg_split[i], 1))
+                base.append(Neuron(bl, neg_split[i], -1))
+                neg_kq += neg_split[i] * bl.offset
+            else:
+                base.append(Neuron(bl, kk, orient[i]))
+                if orient[i] == -1:
+                    neg_kq += kk * bl.offset
+        if fresh is None:
+            bias = cf.bias - neg_kq
+            found.add(EffectiveTuple(tuple(base), bias).sorted())
             continue
-        for doubles in combinations(range(n), n_doubles):
-            singles = [i for i in range(n) if i not in doubles]
-            for eps in product((1, -1), repeat=len(singles)):
-                orient = {i: e for i, e in zip(singles, eps)}
-                s0 = [Fraction(0)] * cf.d0
-                for i, e in zip(singles, eps):
-                    if e == -1:
-                        for c in range(cf.d0):
-                            s0[c] += kinks[i] * dirs[i][c]
-                residual = tuple(t - s for t, s in zip(target, s0))
-                neg_split = {}  # doubled index -> negative neuron kink
-                fresh = None  # (direction, kink of the negative neuron)
-                if extra_pair:
-                    if is_zero(residual):
-                        continue
-                    d, s = primitive_direction(residual)
-                    fresh = (d, s)
-                elif doubles:
-                    rows = [[dirs[i][c] for i in doubles] for c in range(cf.d0)]
-                    sol = solve_affine(rows, residual, len(doubles))
-                    if sol is None:
-                        continue
-                    part, null = sol
-                    assert not null, "underdetermined split cannot occur at minimal width"
-                    if any(part[idx] in (0, kinks[i]) for idx, i in enumerate(doubles)):
-                        continue
-                    neg_split = {i: part[idx] for idx, i in enumerate(doubles)}
-                elif not is_zero(residual):
-                    continue
-                base = []
-                neg_kq = Fraction(0)
-                for i, (bl, kk) in enumerate(cf.terms):
-                    if i in neg_split:
-                        base.append(Neuron(bl, kk - neg_split[i], 1))
-                        base.append(Neuron(bl, neg_split[i], -1))
-                        neg_kq += neg_split[i] * bl.offset
-                    else:
-                        base.append(Neuron(bl, kk, orient[i]))
-                        if orient[i] == -1:
-                            neg_kq += kk * bl.offset
-                if fresh is None:
-                    bias = cf.bias - neg_kq
-                    found.add(EffectiveTuple(tuple(base), bias).sorted())
-                else:
-                    d, s = fresh
-                    for r in r_samples:
-                        r = rat(r)
-                        bl = Breakline(d, r)
-                        neurons = tuple(base) + (Neuron(bl, -s, 1), Neuron(bl, s, -1))
-                        bias = cf.bias - neg_kq - s * r
-                        found.add(EffectiveTuple(neurons, bias).sorted())
+        d, s = primitive_direction(fresh)
+        for r in r_samples:
+            r = rat(r)
+            bl = Breakline(d, r)
+            neurons = tuple(base) + (Neuron(bl, -s, 1), Neuron(bl, s, -1))
+            bias = cf.bias - neg_kq - s * r
+            found.add(EffectiveTuple(neurons, bias).sorted())
     return found

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import dot, is_zero, primitive_direction, rat, rat_str, vec, vsub
+from .exact import dot, is_zero, primitive_direction, rat_str, vec, vsub
 from .network import Breakline
 
 

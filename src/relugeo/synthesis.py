@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import (
     CapExceeded,
@@ -24,7 +24,7 @@ from .errors import (
     NotTransversal,
 )
 from .exact import affine_fit, dot, is_zero, primitive_direction, rank, rat, solve_affine, vec, vsub
-from .network import Breakline, EffectiveTuple, Neuron
+from .network import Breakline, EffectiveTuple, Neuron, evaluate_tuple
 from .pwa import PWASpec, eval_pwa, expr_dim
 
 DEFAULT_TRANSVERSALITY_CAP = 20
@@ -53,13 +53,11 @@ def check_transversality(breaklines, cap: int = DEFAULT_TRANSVERSALITY_CAP):
     d0 = breaklines[0].d0
     for size in range(2, min(n, d0 + 1) + 1):
         for subset in combinations(range(n), size):
-            dirs = [vec(breaklines[i].direction) for i in subset]
-            if rank(dirs) == size:
-                continue
-            rows = dirs
+            rows = [breaklines[i].direction for i in subset]
             rhs = [breaklines[i].offset for i in subset]
             sol = solve_affine(rows, rhs, d0)
-            if sol is not None:
+            # a meeting subset whose normals have rank below its size
+            if sol is not None and d0 - len(sol[1]) < size:
                 return Violation(subset, sol[0])
     return None
 
@@ -69,7 +67,9 @@ def point_on_breakline(breaklines, i, seed: int = 0):
 
     Deterministic in the seed: the breakline is parametrized and an integer
     parameter grid is scanned in shells; each other breakline removes only an
-    affine slice of the grid, so the scan terminates.
+    affine slice of the grid, so the scan terminates.  A second breakline on
+    the same hyperplane would cover the whole grid; it raises NotTransversal
+    with the pair and a common point instead.
     """
     breaklines = list(breaklines)
     bl = breaklines[i]
@@ -77,6 +77,9 @@ def point_on_breakline(breaklines, i, seed: int = 0):
     pivot = next(c for c, e in enumerate(bl.direction) if e != 0)
     base = [Fraction(0)] * d0
     base[pivot] = Fraction(bl.offset, bl.direction[pivot])
+    for j, b in enumerate(breaklines):
+        if j != i and rank([[*bl.direction, bl.offset], [*b.direction, b.offset]]) == 1:
+            raise NotTransversal(Violation(tuple(sorted((i, j))), tuple(base)))
     params = [c for c in range(d0) if c != pivot]
     span = []
     for c in params:
@@ -92,9 +95,7 @@ def point_on_breakline(breaklines, i, seed: int = 0):
         if radius == 0:
             yield (0,) * len(params)
             return
-        import itertools
-
-        for t in itertools.product(range(-radius, radius + 1), repeat=len(params)):
+        for t in product(range(-radius, radius + 1), repeat=len(params)):
             if max((abs(v) for v in t), default=0) == radius:
                 yield t
 
@@ -257,9 +258,6 @@ def synthesize_evaluator(
         neurons.append(Neuron(fresh, -s, -1))
         bias = const
     result = EffectiveTuple(tuple(neurons), bias)
-
-    from .network import evaluate_tuple
-
     for _ in range(n_verify):
         p = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 10)) for _ in range(d0))
         if f(p) != evaluate_tuple(result, p):

@@ -1,9 +1,14 @@
 """CLI: every subcommand, exit codes and deterministic output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relugeo
 from relugeo.cli import run
 from relugeo import jsonio
 from relugeo.network import ShallowNet
@@ -158,3 +163,64 @@ class TestErrors:
     def test_unknown_command_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_equiv_on_spec_exit_2(self, files, capsys):
+        spec = files("spec.json", {"expr": "relu(affine([1],0))", "breaklines": "auto"})
+        assert run(["equiv", spec, files("relu.json", RELU_NET)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            "W1",
+            5,
+            None,
+            [RELU_NET],
+            {"terms": [{"d": [1], "q": "0", "kink": 1.5}], "affine": ["0"], "bias": "0", "d0": 1},
+            {"W1": 5},
+            {"terms": [1], "affine": ["0"], "bias": "0", "d0": 1},
+            {"expr": 5},
+            {"expr": "relu(affine([1],0))", "breaklines": [5]},
+        ],
+        ids=["string", "int", "null", "list", "float-kink", "int-W1", "int-term", "int-expr", "int-breakline"],
+    )
+    def test_wrong_json_types_exit_2(self, files, capsys, data):
+        # run() returning at all means no exception escaped, so no traceback
+        assert run(["canon", files("bad.json", data)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "expr, breaklines, violation",
+    [
+        (
+            "relu(affine([1],0))",
+            [{"d": [1], "q": "0"}, {"d": [1], "q": "0"}],
+            {"indices": [1, 2], "point": ["0"]},
+        ),
+        (
+            "relu(affine([1],0))",
+            [{"d": [2], "q": "0"}, {"d": [1], "q": "0"}],
+            {"indices": [1, 2], "point": ["0"]},
+        ),
+        (
+            "relu(affine([1,0],-1))",
+            [{"d": [1, 0], "q": "1"}, {"d": [0, 1], "q": "0"}, {"d": [2, 0], "q": "2"}],
+            {"indices": [1, 3], "point": ["1", "0"]},
+        ),
+    ],
+    ids=["duplicate", "scaled-duplicate-1d", "scaled-duplicate-2d"],
+)
+def test_unchecked_synth_on_repeated_hyperplane_terminates(tmp_path, expr, breaklines, violation):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"expr": expr, "breaklines": breaklines}))
+    env = dict(os.environ, PYTHONPATH=str(Path(relugeo.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relugeo.cli", "synth", str(path), "--unchecked"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"error": "NotTransversal", "violation": violation}

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from relugeo.errors import DimensionMismatch, ZeroVector
@@ -15,6 +15,7 @@ from relugeo.exact import (
     rank,
     rat,
     rat_str,
+    solve_affine,
 )
 
 F = Fraction
@@ -136,3 +137,38 @@ class TestAffineFit:
             g, c = fit
             for p, v in zip(pts, vals):
                 assert dot(g, p) + c == v
+
+
+small_rationals = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def small_vectors(dim):
+    return st.tuples(*[small_rationals] * dim)
+
+
+class TestEliminationProperties:
+    """rank and in_span both come from solve_affine; check them against algebra."""
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(small_vectors(n), min_size=1, max_size=4)))
+    def test_rank_equals_rank_of_transpose(self, rows):
+        assert rank(rows) == rank(list(zip(*rows)))
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.tuples(
+                small_vectors(dim), st.lists(small_vectors(dim), min_size=1, max_size=4)
+            )
+        )
+    )
+    # a zero first generator spans nothing, so it must not replace the pair
+    @example(((F(1),), [(F(0),), (F(1),)]))
+    def test_in_span_decides_membership(self, case):
+        v, basis = case
+        coeffs = in_span(v, basis)
+        rows = [[b[i] for b in basis] for i in range(len(v))]
+        assert (coeffs is None) == (solve_affine(rows, v, len(basis)) is None)
+        if coeffs is not None:
+            rebuilt = tuple(
+                sum((c * b[i] for c, b in zip(coeffs, basis)), F(0)) for i in range(len(v))
+            )
+            assert rebuilt == v
