@@ -15,6 +15,7 @@ solution and null space.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -23,14 +24,30 @@ from .errors import DimensionMismatch, ZeroVector
 Rational = Fraction
 
 
+# Largest decimal exponent a literal may carry: "1e100000000" would make
+# Fraction build a hundred-million-digit integer.
+_MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
+
+
 def rat(value) -> Fraction:
-    """Parse a rational from "p/q", "p", a decimal string, an int or a Fraction."""
+    """Parse a rational from "p/q", "p", a decimal string, an int or a Fraction.
+
+    A zero denominator or a decimal exponent beyond ``_MAX_EXPONENT`` in
+    absolute value raises ValueError, like any other malformed literal.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+            raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT}")
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

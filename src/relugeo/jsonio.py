@@ -11,7 +11,7 @@ import json
 
 from .canonical import CanonicalForm, Different, Equal, EqualUpToAffine
 from .errors import SchemaError
-from .exact import rat, rat_str
+from .exact import primitive_direction, rat, rat_str
 from .minimality import KIND_FRESH, MinimalityReport, RepresentationFamily
 from .network import Breakline, EffectiveTuple, Neuron, ShallowNet
 from .pwa import PWASpec, flat_breaklines, parse_pwa
@@ -30,12 +30,7 @@ def net_to_dict(net: ShallowNet) -> dict:
 
 
 def net_from_dict(data: dict) -> ShallowNet:
-    net = ShallowNet(
-        tuple(tuple(rat(e) for e in row) for row in data["W1"]),
-        tuple(rat(e) for e in data["b1"]),
-        tuple(rat(e) for e in data["W2"]),
-        rat(data["b2"]),
-    )
+    net = ShallowNet(data["W1"], data["b1"], data["W2"], data["b2"])
     if "d0" in data and net.d0 != data["d0"]:
         raise ValueError("d0 does not match the shape of W1")
     if "d1" in data and net.d1 != data["d1"]:
@@ -48,7 +43,9 @@ def _breakline_to_dict(bl: Breakline) -> dict:
 
 
 def _breakline_from_dict(data: dict) -> Breakline:
-    return Breakline(tuple(int(e) for e in data["d"]), rat(data["q"]))
+    """A declared hyperplane {d.x = q}, rescaled to a primitive lex-positive d."""
+    d, s = primitive_direction([int(e) for e in data["d"]])
+    return Breakline(d, rat(data["q"]) / s)
 
 
 def tuple_to_dict(t: EffectiveTuple) -> dict:
@@ -67,17 +64,11 @@ def tuple_to_dict(t: EffectiveTuple) -> dict:
 
 
 def tuple_from_dict(data: dict) -> EffectiveTuple:
-    return EffectiveTuple(
-        tuple(
-            Neuron(
-                Breakline(tuple(int(e) for e in nr["d"]), rat(nr["q"])),
-                rat(nr["kink"]),
-                int(nr["orient"]),
-            )
-            for nr in data["neurons"]
-        ),
-        rat(data["bias"]),
+    neurons = tuple(
+        Neuron(Breakline(nr["d"], nr["q"]), nr["kink"], int(nr["orient"]))
+        for nr in data["neurons"]
     )
+    return EffectiveTuple(neurons, data["bias"])
 
 
 def form_to_dict(cf: CanonicalForm) -> dict:
@@ -93,15 +84,8 @@ def form_to_dict(cf: CanonicalForm) -> dict:
 
 
 def form_from_dict(data: dict) -> CanonicalForm:
-    return CanonicalForm(
-        tuple(
-            (Breakline(tuple(int(e) for e in t["d"]), rat(t["q"])), rat(t["kink"]))
-            for t in data["terms"]
-        ),
-        tuple(rat(e) for e in data["affine"]),
-        rat(data["bias"]),
-        int(data["d0"]),
-    )
+    terms = tuple((Breakline(t["d"], t["q"]), t["kink"]) for t in data["terms"])
+    return CanonicalForm(terms, data["affine"], data["bias"], int(data["d0"]))
 
 
 def family_to_dict(fam: RepresentationFamily) -> dict:

@@ -8,6 +8,11 @@ explicit construction of every minimal representation modulo neuron
 permutation, plus the dimension and connected-component count of the manifold
 of raw networks realizing the function.
 
+One kernel, ``_span_patterns``, finds J, J(m) and J(m, m') by meet in the
+middle over the sign patterns, with no linear solve per pattern.  One
+construction, ``_split_family``, builds the exact, duplicated-breakline and
+duplicated-pair families: split an opposite neuron off 0, 1 or 2 terms.
+
 The brute-force oracle at the bottom re-derives the minimal width by direct
 search over neuron-to-breakline assignments and exact linear solving, without
 touching the J machinery; tests play the two against each other.
@@ -19,15 +24,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+from operator import add
 
-from .canonical import CanonicalForm, canonicalize, sigma_affine, sigma_tuple
+from .canonical import CanonicalForm, canonicalize, sigma_affine
 from .errors import (
     CapExceeded,
     DimensionMismatch,
     EnumerationCapExceeded,
     EqualDirections,
 )
-from .exact import in_span, is_zero, primitive_direction, rat, solve_affine, vec
+from .exact import dot, in_span, is_zero, primitive_direction, rat, solve_affine, vec, vsub
 from .network import Breakline, EffectiveTuple, Neuron
 
 DEFAULT_CAP = 24
@@ -65,45 +71,52 @@ def _check_cap(n, cap):
         raise EnumerationCapExceeded(n, cap)
 
 
-def _sign_patterns(n):
-    return product((1, -1), repeat=n)
+def _span_patterns(cf, gens, cap):
+    """All sign patterns, in product order, whose a_sigma lies in span(gens).
+
+    a_sigma is the affine part plus kink*direction over the terms with
+    sigma_i = -1; it lies in the span iff its projection onto the span's
+    normals vanishes.  That is a subset sum over exact tuples, solved by meet
+    in the middle (Horowitz-Sahni): tail-half sums are bucketed in a dict and
+    each head-half sum looks up its complement.
+    """
+    _check_cap(cf.n, cap)
+    gens = [tuple(g) for g in gens]
+    if len(set(gens)) < len(gens):
+        raise EqualDirections("the two directions must differ")
+    _, normals = solve_affine(gens, [0] * len(gens), cf.d0)
+    steps = [tuple(k * dot(w, bl.direction) for w in normals) for bl, k in cf.terms]
+
+    def sums(part):  # (sum of the steps at the -1 entries, pattern), in product order
+        level = [((Fraction(0),) * len(normals), ())]
+        for step in part:
+            level = [
+                (s if sign == 1 else tuple(map(add, s, step)), pattern + (sign,))
+                for s, pattern in level
+                for sign in (1, -1)
+            ]
+        return level
+
+    tails = {}
+    for s, tail in sums(steps[cf.n // 2 :]):
+        tails.setdefault(s, []).append(tail)
+    target = tuple(-dot(w, cf.affine) for w in normals)
+    return [h + t for s, h in sums(steps[: cf.n // 2]) for t in tails.get(vsub(target, s), ())]
 
 
 def compute_J(cf: CanonicalForm, cap: int = DEFAULT_CAP):
     """All orientation patterns with vanishing affine correction."""
-    _check_cap(cf.n, cap)
-    return [s for s in _sign_patterns(cf.n) if is_zero(sigma_affine(cf, s)[0])]
+    return _span_patterns(cf, [], cap)
 
 
 def compute_J_single(cf: CanonicalForm, m, cap: int = DEFAULT_CAP):
     """All patterns whose affine correction lies on the line spanned by m."""
-    _check_cap(cf.n, cap)
-    mv = vec(m)
-    return [
-        s for s in _sign_patterns(cf.n) if in_span(sigma_affine(cf, s)[0], [mv]) is not None
-    ]
+    return _span_patterns(cf, [m], cap)
 
 
 def compute_J_pair(cf: CanonicalForm, m, m2, cap: int = DEFAULT_CAP):
     """All patterns whose affine correction lies in the span of m and m2."""
-    _check_cap(cf.n, cap)
-    if tuple(m) == tuple(m2):
-        raise EqualDirections("the two directions must differ")
-    mv, mv2 = vec(m), vec(m2)
-    return [
-        s
-        for s in _sign_patterns(cf.n)
-        if in_span(sigma_affine(cf, s)[0], [mv, mv2]) is not None
-    ]
-
-
-def _directions(cf):
-    """Distinct term directions in lexicographic order."""
-    return sorted({bl.direction for bl in cf.breaklines})
-
-
-def _indices_with_direction(cf, direction):
-    return [i for i, bl in enumerate(cf.breaklines) if bl.direction == direction]
+    return _span_patterns(cf, [m, m2], cap)
 
 
 def verify_representation(cf: CanonicalForm, t: EffectiveTuple) -> bool:
@@ -113,27 +126,25 @@ def verify_representation(cf: CanonicalForm, t: EffectiveTuple) -> bool:
     return canonicalize(t, d0=cf.d0) == cf
 
 
-def _exact_family(cf, sigma):
-    _, b_sigma = sigma_affine(cf, sigma)
-    return RepresentationFamily(KIND_EXACT, sigma, (), (sigma_tuple(cf, sigma, b_sigma),))
+def _split_family(cf, kind, sigma, js):
+    """The form's terms with orientations sigma, each term in js split in two.
 
-
-def _duplicated_family(cf, sigma, j):
+    a_sigma = sum of delta_j * direction_j over js; term j keeps orientation
+    +1 with kink kink_j + delta_j and gains an opposite neuron with kink
+    -delta_j, which absorbs a_sigma.  With js empty this is the exact family.
+    """
     a_sigma, b_sigma = sigma_affine(cf, sigma)
-    bl_j = cf.breaklines[j]
-    coeffs = in_span(a_sigma, [vec(bl_j.direction)])
-    delta = coeffs[0]
-    neurons = [
-        Neuron(bl, k, s)
-        for i, ((bl, k), s) in enumerate(zip(cf.terms, sigma))
-        if i != j
-    ]
-    kink_j = cf.kinks[j] + delta
-    assert delta != 0 and kink_j != 0, "would contradict case II minimality"
-    neurons.insert(j, Neuron(bl_j, kink_j, 1))
-    neurons.append(Neuron(bl_j, -delta, -1))
-    bias = delta * bl_j.offset + b_sigma
-    return RepresentationFamily(KIND_DUP, sigma, (j,), (EffectiveTuple(tuple(neurons), bias),))
+    deltas = dict(zip(js, in_span(a_sigma, [cf.breaklines[j].direction for j in js])))
+    neurons = []
+    for i, ((bl, k), s) in enumerate(zip(cf.terms, sigma)):
+        if i in deltas:
+            assert deltas[i] != 0 and k + deltas[i] != 0, "would contradict minimality"
+            neurons.append(Neuron(bl, k + deltas[i], 1))
+            b_sigma += deltas[i] * bl.offset
+        else:
+            neurons.append(Neuron(bl, k, s))
+    neurons.extend(Neuron(cf.breaklines[j], -deltas[j], -1) for j in js)
+    return RepresentationFamily(kind, sigma, js, (EffectiveTuple(tuple(neurons), b_sigma),))
 
 
 def _fresh_line_family(cf, sigma, r_values):
@@ -150,34 +161,14 @@ def _fresh_line_family(cf, sigma, r_values):
     return RepresentationFamily(KIND_FRESH, sigma, (), tuple(tuples), tuple(r_values))
 
 
-def _duplicated_pair_family(cf, sigma, j1, j2):
-    a_sigma, b_sigma = sigma_affine(cf, sigma)
-    bl1, bl2 = cf.breaklines[j1], cf.breaklines[j2]
-    d1, d2 = in_span(a_sigma, [vec(bl1.direction), vec(bl2.direction)])
-    assert d1 != 0 and d2 != 0, "would contradict case III (J(m) empty)"
-    k1, k2 = cf.kinks[j1] + d1, cf.kinks[j2] + d2
-    assert k1 != 0 and k2 != 0, "would contradict case III minimality"
-    ordered = []
-    for i, ((bl, k), s) in enumerate(zip(cf.terms, sigma)):
-        if i == j1:
-            ordered.append(Neuron(bl1, k1, 1))
-        elif i == j2:
-            ordered.append(Neuron(bl2, k2, 1))
-        else:
-            ordered.append(Neuron(bl, k, s))
-    ordered.append(Neuron(bl1, -d1, -1))
-    ordered.append(Neuron(bl2, -d2, -1))
-    bias = d1 * bl1.offset + d2 * bl2.offset + b_sigma
-    return RepresentationFamily(
-        KIND_PAIR, sigma, (j1, j2), (EffectiveTuple(tuple(ordered), bias),)
-    )
-
-
 def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP):
     """All minimal representation families, modulo neuron permutation.
 
-    The extra-breakline families of case III are infinite (one tuple per
-    offset); they are instantiated at the caller-supplied ``r_samples``.
+    Cases I, II and III ask the same question of the direction groups (),
+    (m,) and (m, m'): which patterns put a_sigma in their span, and which
+    terms on those directions can be split.  The first case with a family
+    wins.  The extra-breakline families of case III are infinite (one tuple
+    per offset); they are instantiated at the caller-supplied ``r_samples``.
     """
     _check_cap(cf.n, cap)
     r_values = tuple(rat(r) for r in r_samples)
@@ -187,34 +178,27 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
         # same structure as the extra-breakline construction, with no terms
         return [_fresh_line_family(cf, (), r_values)]
 
-    J = compute_J(cf, cap)
-    if J:
-        return [_exact_family(cf, s) for s in J]
-
-    families = []
-    for direction in _directions(cf):
-        Jm = compute_J_single(cf, direction, cap)
-        if not Jm:
-            continue
-        for j in _indices_with_direction(cf, direction):
-            for sigma in Jm:
-                if sigma[j] == 1:
-                    families.append(_duplicated_family(cf, sigma, j))
-    if families:
-        return families
-
-    for sigma in _sign_patterns(cf.n):
-        families.append(_fresh_line_family(cf, sigma, r_values))
-    dirs = _directions(cf)
-    for m, m2 in combinations(dirs, 2):
-        Jmm = compute_J_pair(cf, m, m2, cap)
-        if not Jmm:
-            continue
-        for j1 in _indices_with_direction(cf, m):
-            for j2 in _indices_with_direction(cf, m2):
-                for sigma in Jmm:
-                    if sigma[j1] == 1 and sigma[j2] == 1:
-                        families.append(_duplicated_pair_family(cf, sigma, j1, j2))
+    dirs = sorted({bl.direction for bl in cf.breaklines})
+    cases = (
+        (KIND_EXACT, [()]),
+        (KIND_DUP, [(m,) for m in dirs]),
+        (KIND_PAIR, combinations(dirs, 2)),
+    )
+    for kind, groups in cases:
+        # in case III every pattern also gives an extra-breakline family
+        patterns = product((1, -1), repeat=cf.n) if kind == KIND_PAIR else ()
+        families = [_fresh_line_family(cf, s, r_values) for s in patterns]
+        for ms in groups:
+            hits = (compute_J, compute_J_single, compute_J_pair)[len(ms)](cf, *ms, cap=cap)
+            on_ms = ([i for i, bl in enumerate(cf.breaklines) if bl.direction == m] for m in ms)
+            for js in product(*on_ms):
+                families.extend(
+                    _split_family(cf, kind, sigma, js)
+                    for sigma in hits
+                    if all(sigma[j] == 1 for j in js)
+                )
+        if families:
+            break
     return families
 
 

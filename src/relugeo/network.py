@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale, ZeroVector
 from .exact import dot, is_zero, primitive_direction, rat, vec
@@ -29,7 +30,12 @@ class Breakline:
     offset: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", tuple(int(e) for e in self.direction))
+        d = tuple(int(e) for e in self.direction)
+        if not any(d):
+            raise ZeroVector("a breakline direction must be nonzero")
+        if gcd(*d) != 1 or next(e for e in d if e) < 0:
+            raise ValueError(f"direction {list(d)} is not primitive and lex-positive")
+        object.__setattr__(self, "direction", d)
         object.__setattr__(self, "offset", rat(self.offset))
 
     @property

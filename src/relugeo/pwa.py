@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import dot, is_zero, primitive_direction, rat_str, vec, vsub
+from .exact import dot, is_zero, primitive_direction, rat, rat_str, vec, vsub
 from .network import Breakline
 
 
@@ -171,14 +171,14 @@ def _parse_number(lx):
     while lx.peek()[0] == "-":
         lx.next()
         neg = not neg
-    value = Fraction(lx.expect("num", "a rational"))
+    value = rat(lx.expect("num", "a rational"))
     return -value if neg else value
 
 
 def _parse_atom(lx):
     k, v, at = lx.next()
     if k == "num":
-        return Fraction(v), at
+        return rat(v), at
     if k == "(":
         expr = _parse_sum(lx)
         lx.expect(")", "')'")

@@ -224,3 +224,58 @@ def test_unchecked_synth_on_repeated_hyperplane_terminates(tmp_path, expr, break
     )
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {"error": "NotTransversal", "violation": violation}
+
+
+ZERO_DIRECTION_SPEC = {
+    "expr": "relu(affine([1,0],0))",
+    "breaklines": [{"d": [1, 0], "q": "0"}, {"d": [0, 0], "q": "1"}],
+}
+
+
+def _tuple(*neurons):
+    return {
+        "neurons": [{"d": d, "q": "0", "kink": k, "orient": 1} for d, k in neurons],
+        "bias": "0",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["synth"], ZERO_DIRECTION_SPEC),
+        (["synth", "--unchecked"], ZERO_DIRECTION_SPEC),
+        (["canon"], _tuple(([2], "1"), ([1], "-2"))),
+        (["canon"], _tuple(([-1], "1"))),
+        (["canon"], dict(RELU_NET, b2="1/0")),
+        (["synth"], {"expr": "relu(affine([1/0],0))", "breaklines": "auto"}),
+        (["eval", "--x", "1/0"], RELU_NET),
+    ],
+    ids=[
+        "zero-declared-direction",
+        "zero-declared-direction-unchecked",
+        "non-primitive-direction",
+        "negative-direction",
+        "zero-denominator-net",
+        "zero-denominator-expr",
+        "zero-denominator-point",
+    ],
+)
+def test_invalid_direction_or_literal_exit_2(files, capsys, argv, data):
+    # run() returning at all means no exception escaped, so no traceback
+    assert run([argv[0], files("bad.json", data), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_huge_exponent_literal_exits_2_quickly(tmp_path):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(dict(RELU_NET, b2="1e100000000")))
+    env = dict(os.environ, PYTHONPATH=str(Path(relugeo.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relugeo.cli", "canon", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

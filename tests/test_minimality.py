@@ -1,11 +1,18 @@
 """Minimal widths, representation enumeration and the brute-force oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 
-from relugeo.canonical import CanonicalForm, canonicalize
+import relugeo
+from relugeo.canonical import CanonicalForm, canonicalize, sigma_affine
 from relugeo.errors import CapExceeded, EnumerationCapExceeded, EqualDirections
+from relugeo.exact import in_span
 from relugeo.minimality import (
     KIND_DUP,
     KIND_EXACT,
@@ -21,7 +28,7 @@ from relugeo.minimality import (
     verify_representation,
 )
 
-from conftest import T, random_form
+from conftest import T, nonzero_fraction, random_form
 
 F = Fraction
 
@@ -220,3 +227,60 @@ class TestUnivariateDichotomy:
         for _ in range(100):
             cf = random_form(rng, 1, rng.randint(1, 4))
             assert classify(cf).case != "III"
+
+
+def _reference_scan(cf, gens):
+    """The per-pattern loop: one sigma_affine and one in_span per sign pattern."""
+    return [
+        s
+        for s in product((1, -1), repeat=cf.n)
+        if in_span(sigma_affine(cf, s)[0], gens) is not None
+    ]
+
+
+class TestSpanKernelDifferential:
+    def test_scans_match_reference_loop_in_order(self, rng):
+        scans = (compute_J, compute_J_single, compute_J_pair)
+        for _ in range(40):
+            d0, n = rng.randint(1, 3), rng.randint(0, 10)
+            cf = random_form(rng, d0, n)
+            dirs = sorted({bl.direction for bl in cf.breaklines})
+            gens = rng.sample(dirs, min(len(dirs), rng.randint(0, 2)))
+            # a_sigma of this pattern is a combination of gens, so it is a hit
+            sigma = tuple(rng.choice((1, -1)) for _ in range(n))
+            a0, _ = sigma_affine(CanonicalForm(cf.terms, (0,) * d0, 0, d0), sigma)
+            affine = [-a for a in a0]
+            for m in gens:
+                c = nonzero_fraction(rng)
+                affine = [a + c * e for a, e in zip(affine, m)]
+            cf = CanonicalForm(cf.terms, tuple(affine), cf.bias, d0)
+            got = scans[len(gens)](cf, *gens)
+            assert sigma in got
+            assert got == _reference_scan(cf, gens)
+            assert compute_J(cf) == _reference_scan(cf, [])
+
+
+def test_compute_J_at_n22_finishes_within_a_minute():
+    code = """
+import random
+from fractions import Fraction
+from relugeo.canonical import CanonicalForm, sigma_affine
+from relugeo.minimality import compute_J
+from relugeo.network import Breakline
+
+rng = random.Random(22)
+terms = tuple(
+    (Breakline((1, j), rng.randint(-3, 3)), Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+    for j in range(22)
+)
+sigma = tuple(rng.choice((1, -1)) for _ in terms)
+a0, _ = sigma_affine(CanonicalForm(terms, (0, 0), 0, 2), sigma)
+cf = CanonicalForm(terms, tuple(-a for a in a0), 0, 2)
+J = compute_J(cf)
+assert sigma in J and all(sigma_affine(cf, s)[0] == (0, 0) for s in J)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(relugeo.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
