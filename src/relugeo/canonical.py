@@ -33,6 +33,16 @@ class CanonicalForm:
         object.__setattr__(self, "bias", rat(self.bias))
         if len(self.affine) != self.d0:
             raise DimensionMismatch("affine part must have length d0")
+        for bl, k in self.terms:
+            if bl.d0 != self.d0:
+                raise DimensionMismatch(
+                    f"term breakline {list(bl.direction)} has length {bl.d0}, not d0"
+                )
+            if k == 0:
+                raise ValueError(f"term on breakline {list(bl.direction)} has a zero kink")
+        keys = [(bl.direction, bl.offset) for bl in self.breaklines]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError("terms must be strictly increasing by (direction, offset)")
 
     @property
     def n(self) -> int:

@@ -63,6 +63,19 @@ def vec(values) -> tuple[Fraction, ...]:
     return tuple(rat(v) for v in values)
 
 
+def scaled_point(x) -> tuple[tuple[int, ...], int]:
+    """A point as integer numerators over one common denominator.
+
+    Returns ``(X, D)`` with D > 0 the lcm of the coordinates' denominators and
+    X = D * x.  Positively homogeneous functions of (x, 1), such as responses
+    and piecewise-affine expressions, can then be evaluated on (X, D) in
+    integers alone.
+    """
+    x = vec(x)
+    d = lcm(*(c.denominator for c in x))
+    return tuple(c.numerator * (d // c.denominator) for c in x), d
+
+
 def dot(a, b) -> Fraction:
     if len(a) != len(b):
         raise DimensionMismatch(f"dot of length {len(a)} with length {len(b)}")
@@ -84,13 +97,9 @@ def primitive_direction(v) -> tuple[tuple[int, ...], Fraction]:
     nonzero entry is positive, and s is a nonzero rational with v = s * d
     componentwise.  The sign of s is the orientation of v.
     """
-    v = vec(v)
-    if is_zero(v):
+    w, denom = scaled_point(v)
+    if not any(w):
         raise ZeroVector("cannot orient the zero vector")
-    denom = 1
-    for x in v:
-        denom = lcm(denom, x.denominator)
-    w = [int(x * denom) for x in v]
     g = 0
     for e in w:
         g = gcd(g, abs(e))

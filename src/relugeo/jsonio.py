@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 
 from .canonical import CanonicalForm, Different, Equal, EqualUpToAffine
-from .errors import SchemaError
+from .errors import DimensionMismatch, SchemaError
 from .exact import primitive_direction, rat, rat_str
 from .minimality import KIND_FRESH, MinimalityReport, RepresentationFamily
 from .network import Breakline, EffectiveTuple, Neuron, ShallowNet
-from .pwa import PWASpec, flat_breaklines, parse_pwa
+from .pwa import PWASpec, expr_dim, flat_breaklines, parse_pwa
 from .synthesis import Violation
 
 
@@ -139,6 +139,12 @@ def pwa_spec_from_dict(data: dict) -> PWASpec:
         breaklines = tuple(flat_breaklines(expr))
     else:
         breaklines = tuple(_breakline_from_dict(b) for b in bls)
+        d0 = expr_dim(expr)
+        for i, bl in enumerate(breaklines):
+            if bl.d0 != d0:
+                raise DimensionMismatch(
+                    f"declared breakline {i + 1} has dimension {bl.d0}, the expression {d0}"
+                )
     return PWASpec(expr, breaklines)
 
 

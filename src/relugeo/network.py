@@ -16,10 +16,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale, ZeroVector
-from .exact import dot, is_zero, primitive_direction, rat, vec
+from .exact import dot, is_zero, primitive_direction, rat, scaled_point, vec
 
 
 @dataclass(frozen=True, order=True)
@@ -130,17 +131,50 @@ def evaluate_net(net: ShallowNet, x) -> Fraction:
     return total
 
 
+def tuple_evaluator(t: EffectiveTuple):
+    """Compile a tuple into an exact evaluator of its response.
+
+    With x = X / D (``scaled_point``) and offset q_j = r_j / s_j, neuron j
+    contributes kink_j * (o_j * (s_j d_j . X - r_j D))_+ / (s_j D).  Over a
+    common denominator m fixed here the response is
+    (B D + sum_j K_j (row_j . X + c_j D)_+) / (m D) with the integer row
+    o_j s_j d_j, the integer c_j = -o_j r_j, K_j = m kink_j / s_j and
+    B = m out_bias, so each call does integer arithmetic only.
+    """
+    dims = {nr.breakline.d0 for nr in t.neurons}
+    m = lcm(
+        t.out_bias.denominator,
+        *(nr.breakline.offset.denominator * nr.kink.denominator for nr in t.neurons),
+    )
+    bias = int(t.out_bias * m)
+    rows = []
+    for nr in t.neurons:
+        o, q = nr.orientation, nr.breakline.offset
+        rows.append(
+            (
+                tuple(o * q.denominator * e for e in nr.breakline.direction),
+                -o * q.numerator,
+                int(nr.kink * (m // q.denominator)),
+            )
+        )
+
+    def evaluate(x) -> Fraction:
+        X, D = scaled_point(x)
+        if dims and dims != {len(X)}:
+            raise DimensionMismatch("point dimension does not match neuron breakline")
+        total = bias * D
+        for row, c, k in rows:
+            pre = sum(map(mul, row, X)) + c * D
+            if pre > 0:
+                total += k * pre
+        return Fraction(total, m * D)
+
+    return evaluate
+
+
 def evaluate_tuple(t: EffectiveTuple, x) -> Fraction:
     """Exact response out_bias + sum_j kink_j * (orient_j * (d_j . x - q_j))_+."""
-    x = vec(x)
-    total = t.out_bias
-    for nr in t.neurons:
-        if nr.breakline.d0 != len(x):
-            raise DimensionMismatch("point dimension does not match neuron breakline")
-        pre = nr.orientation * nr.breakline.side(x)
-        if pre > 0:
-            total += nr.kink * pre
-    return total
+    return tuple_evaluator(t)(x)
 
 
 def effective_tuple(net: ShallowNet, drop_degenerate: bool = False) -> EffectiveTuple:

@@ -21,9 +21,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import dot, is_zero, primitive_direction, rat, rat_str, vec, vsub
+from .exact import is_zero, primitive_direction, rat, rat_str, scaled_point, vec, vsub
 from .network import Breakline
 
 
@@ -259,25 +261,68 @@ def expr_dim(e: PWAExpr) -> int:
     return dims.pop()
 
 
+def evaluator(e: PWAExpr):
+    """Compile an expression into an exact evaluator x -> e(x).
+
+    Every node is positively homogeneous in (x, 1), and max, min and relu
+    commute with positive scaling.  So with x = X / D (``scaled_point``) each
+    node's value is N / (m * D), where the integer N depends on X and D only
+    and the denominator m > 0 is fixed here.  Affine subtrees fold into one
+    integer row; Sum, Max and Min bring their children to a common m.
+    Leaves of different dimensions raise DimensionMismatch here, a point of
+    the wrong length raises it on each call.
+    """
+    num, m = _compile(e)
+    d0 = expr_dim(e)
+
+    def evaluate(x) -> Fraction:
+        X, D = scaled_point(x)
+        if len(X) != d0:
+            raise DimensionMismatch(f"point has length {len(X)}, leaf expects {d0}")
+        return Fraction(num(X, D), m * D)
+
+    return evaluate
+
+
 def eval_pwa(e: PWAExpr, x) -> Fraction:
-    x = vec(x)
-    if isinstance(e, Affine):
-        if len(e.coeffs) != len(x):
-            raise DimensionMismatch(f"point has length {len(x)}, leaf expects {len(e.coeffs)}")
-        return dot(e.coeffs, x) + e.const
+    return evaluator(e)(x)
+
+
+def _compile(e):
+    """(num, m) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0."""
+    lin = _linearize(e)
+    if lin is not None:
+        grad, const = vec(lin[0]), rat(lin[1])
+        m = lcm(const.denominator, *(c.denominator for c in grad))
+        row = tuple(int(c * m) for c in grad)
+        c0 = int(const * m)
+        return (lambda X, D: sum(map(mul, row, X)) + c0 * D), m
     if isinstance(e, Relu):
-        return max(eval_pwa(e.child, x), Fraction(0))
-    if isinstance(e, Max):
-        return max(eval_pwa(e.left, x), eval_pwa(e.right, x))
-    if isinstance(e, Min):
-        return min(eval_pwa(e.left, x), eval_pwa(e.right, x))
+        child, m = _compile(e.child)
+        return (lambda X, D: max(child(X, D), 0)), m
+    if isinstance(e, (Max, Min)):
+        [(left, wl), (right, wr)], m = _common((e.left, e.right))
+        pick = max if isinstance(e, Max) else min
+        return (lambda X, D: pick(wl * left(X, D), wr * right(X, D))), m
     if isinstance(e, Sum):
-        return sum(eval_pwa(c, x) for c in e.children)
+        parts, m = _common(e.children)
+        return (lambda X, D: sum(w * part(X, D) for part, w in parts)), m
     if isinstance(e, Scale):
-        return e.factor * eval_pwa(e.child, x)
+        child, m = _compile(e.child)
+        factor = rat(e.factor)
+        p = factor.numerator
+        return (lambda X, D: p * child(X, D)), m * factor.denominator
     if isinstance(e, Neg):
-        return -eval_pwa(e.child, x)
+        child, m = _compile(e.child)
+        return (lambda X, D: -child(X, D)), m
     raise TypeError(f"not a PWA expression: {e!r}")
+
+
+def _common(children):
+    """[(num, weight) per child] and their common denominator m."""
+    compiled = [_compile(c) for c in children]
+    m = lcm(*(mc for _, mc in compiled))
+    return [(num, m // mc) for num, mc in compiled], m
 
 
 def _linearize(e):

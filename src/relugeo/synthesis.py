@@ -24,8 +24,8 @@ from .errors import (
     NotTransversal,
 )
 from .exact import affine_fit, dot, is_zero, primitive_direction, rank, rat, solve_affine, vec, vsub
-from .network import Breakline, EffectiveTuple, Neuron, evaluate_tuple
-from .pwa import PWASpec, eval_pwa, expr_dim
+from .network import Breakline, EffectiveTuple, Neuron, tuple_evaluator
+from .pwa import PWASpec, evaluator, expr_dim
 
 DEFAULT_TRANSVERSALITY_CAP = 20
 
@@ -258,9 +258,10 @@ def synthesize_evaluator(
         neurons.append(Neuron(fresh, -s, -1))
         bias = const
     result = EffectiveTuple(tuple(neurons), bias)
+    response = tuple_evaluator(result)
     for _ in range(n_verify):
         p = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 10)) for _ in range(d0))
-        if f(p) != evaluate_tuple(result, p):
+        if f(p) != response(p):
             raise NotRepresentable(
                 "MissingBreakline",
                 f"function disagrees with the synthesized network at {p}",
@@ -271,6 +272,5 @@ def synthesize_evaluator(
 def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int = 1000):
     """Synthesize a network for a parsed piecewise-affine specification."""
     d0 = expr_dim(spec.expr)
-    return synthesize_evaluator(
-        lambda x: eval_pwa(spec.expr, x), spec.breaklines, d0, seed, check, n_verify
-    )
+    f = evaluator(spec.expr)
+    return synthesize_evaluator(f, spec.breaklines, d0, seed, check, n_verify)

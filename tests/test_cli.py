@@ -279,3 +279,49 @@ def test_huge_exponent_literal_exits_2_quickly(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def _form(terms, affine=("0",), d0=1):
+    return {
+        "terms": [{"d": d, "q": q, "kink": k} for d, q, k in terms],
+        "affine": list(affine),
+        "bias": "0",
+        "d0": d0,
+    }
+
+
+EMPTY_FORM = _form([])
+ZERO_SUM_FORM = _form([([1], "0", "0"), ([1], "0", "1"), ([1], "0", "-1")])
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["canon"], _form([([1, 0], "0", "1")], affine=("1",))),
+        (["canon"], ZERO_SUM_FORM),
+        (["classify"], ZERO_SUM_FORM),
+        (["equiv", EMPTY_FORM], ZERO_SUM_FORM),
+        (["canon"], _form([([1], "1", "1"), ([1], "0", "1")])),
+        (["canon"], _form([([1], "0", "1"), ([1], "0", "2")])),
+    ],
+    ids=[
+        "breakline-longer-than-d0",
+        "zero-kinks-canon",
+        "zero-kinks-classify",
+        "zero-kinks-equiv",
+        "decreasing-offsets",
+        "repeated-breakline",
+    ],
+)
+def test_inconsistent_canonical_form_exits_2(files, capsys, argv, data):
+    command, *rest = argv
+    rest = [files("other.json", x) if isinstance(x, dict) else x for x in rest]
+    assert run([command, files("form.json", data), *rest]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--unchecked"]], ids=["checked", "unchecked"])
+def test_spec_breakline_of_wrong_dimension_exits_2_at_load(files, capsys, flags):
+    spec = {"expr": "relu(affine([1],0))", "breaklines": [{"d": [1, 0], "q": "0"}]}
+    assert run(["synth", files("spec.json", spec), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: declared breakline 1 has dimension 2")

@@ -161,3 +161,22 @@ class TestSynthesize:
             cf = type(cf)(cf.terms, (F(0), F(0)), cf.bias, 2)
             t = synthesize_evaluator(lambda x: evaluate_cf(cf, x), cf.breaklines, 2)
             assert len(t.neurons) <= cf.n
+
+
+class TestVerification:
+    def test_default_check_samples_1000_points(self):
+        # the sampled check is the only guard against undeclared breaklines
+        # of a black-box evaluator, so its length is pinned here
+        def calls_of(**kwargs):
+            calls = []
+
+            def f(x):
+                calls.append(x)
+                return max(x[0], F(0)) + max(x[1] - x[0] - 1, F(0))
+
+            bls = [Breakline((1, 0), F(0)), Breakline((1, -1), F(-1))]
+            synthesize_evaluator(f, bls, 2, seed=3, **kwargs)
+            return len(calls)
+
+        assert calls_of() == calls_of(n_verify=0) + 1000
+        assert calls_of(n_verify=1000) == calls_of()
