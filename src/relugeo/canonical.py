@@ -14,10 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import DimensionMismatch, LengthMismatch
-from .exact import dot, rat, vec
-from .network import Breakline, EffectiveTuple, Neuron, ShallowNet, effective_tuple
+from .exact import rat, scaled_point, vec
+from .network import (
+    Breakline,
+    EffectiveTuple,
+    Neuron,
+    ShallowNet,
+    effective_tuple,
+    response_kernel,
+)
 
 
 @dataclass(frozen=True)
@@ -31,6 +40,8 @@ class CanonicalForm:
         object.__setattr__(self, "terms", tuple((bl, rat(k)) for bl, k in self.terms))
         object.__setattr__(self, "affine", vec(self.affine))
         object.__setattr__(self, "bias", rat(self.bias))
+        if self.d0 < 1:
+            raise DimensionMismatch(f"a form needs d0 >= 1, not {self.d0}")
         if len(self.affine) != self.d0:
             raise DimensionMismatch("affine part must have length d0")
         for bl, k in self.terms:
@@ -59,45 +70,67 @@ class CanonicalForm:
     def is_affine(self) -> bool:
         return not self.terms
 
+    @cached_property
+    def evaluator(self):
+        """Exact evaluator of the response, compiled once per form.
+
+        The terms are positively oriented neurons of ``response_kernel`` and
+        the affine part its affine row.  Not a field: equality, hash and repr
+        ignore it.
+        """
+        d0 = self.d0
+        kernel = response_kernel(((bl, k, 1) for bl, k in self.terms), self.affine, self.bias)
+
+        def evaluate(x) -> Fraction:
+            X, D = scaled_point(x)
+            if len(X) != d0:
+                raise DimensionMismatch(f"point has length {len(X)}, form expects {d0}")
+            return kernel(X, D)
+
+        return evaluate
+
 
 def canonicalize(t: EffectiveTuple, d0: int | None = None) -> CanonicalForm:
     """Unique canonical form of a tuple's response.
 
     Negatively oriented neurons are rewritten through
     k*(-(d.x-q))_+ = k*(d.x-q)_+ - k*(d.x-q), kinks are summed per breakline
-    and breaklines with vanishing effective kink are dropped.
+    and breaklines with vanishing effective kink are dropped.  The rewritten
+    affine part -sum k*d and bias sum k*q are integer sums over one common
+    denominator each.
     """
     if d0 is None:
         d0 = t.d0
-    effective: dict[Breakline, Fraction] = {}
-    affine = [Fraction(0)] * d0
-    bias = t.out_bias
+    effective: dict[Breakline, list[Fraction]] = {}
+    flipped = []
     for nr in t.neurons:
         if nr.breakline.d0 != d0:
             raise DimensionMismatch("neuron dimension does not match d0")
-        effective[nr.breakline] = effective.get(nr.breakline, Fraction(0)) + nr.kink
+        effective.setdefault(nr.breakline, []).append(nr.kink)
         if nr.orientation == -1:
-            for i, e in enumerate(nr.breakline.direction):
-                affine[i] -= nr.kink * e
-            bias += nr.kink * nr.breakline.offset
-    terms = tuple(
-        (bl, k)
-        for bl, k in sorted(effective.items(), key=lambda it: (it[0].direction, it[0].offset))
-        if k != 0
+            flipped.append((nr.breakline, nr.kink))
+    m = lcm(*(k.denominator for _, k in flipped))
+    affine = [0] * d0
+    for bl, k in flipped:
+        c = k.numerator * (m // k.denominator)
+        for i, e in enumerate(bl.direction):
+            affine[i] -= c * e
+    n = lcm(*(k.denominator * bl.offset.denominator for bl, k in flipped))
+    shift = sum(
+        k.numerator * bl.offset.numerator * (n // (k.denominator * bl.offset.denominator))
+        for bl, k in flipped
     )
-    return CanonicalForm(terms, tuple(affine), bias, d0)
+    kinks = ((bl, ks[0] if len(ks) == 1 else sum(ks)) for bl, ks in effective.items())
+    terms = tuple(
+        (bl, k) for bl, k in sorted(kinks, key=lambda it: (it[0].direction, it[0].offset)) if k
+    )
+    return CanonicalForm(
+        terms, tuple(Fraction(a, m) for a in affine), t.out_bias + Fraction(shift, n), d0
+    )
 
 
 def evaluate_cf(cf: CanonicalForm, x) -> Fraction:
-    x = vec(x)
-    if len(x) != cf.d0:
-        raise DimensionMismatch(f"point has length {len(x)}, form expects {cf.d0}")
-    total = cf.bias + dot(cf.affine, x)
-    for bl, k in cf.terms:
-        pre = bl.side(x)
-        if pre > 0:
-            total += k * pre
-    return total
+    return cf.evaluator(x)
 
 
 def sigma_affine(cf: CanonicalForm, sigma) -> tuple[tuple[Fraction, ...], Fraction]:

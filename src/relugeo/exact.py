@@ -30,25 +30,58 @@ _MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
-def rat(value) -> Fraction:
-    """Parse a rational from "p/q", "p", a decimal string, an int or a Fraction.
+# Integer and "p/q" literals, ASCII only: every supported Python's Fraction
+# parses these the same way, so int() and one gcd give the same value.
+_PLAIN = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
 
-    A zero denominator or a decimal exponent beyond ``_MAX_EXPONENT`` in
-    absolute value raises ValueError, like any other malformed literal.
+
+def rat_parts(value) -> tuple[int, int]:
+    """Parse a rational literal to (numerator, denominator) in lowest terms.
+
+    Accepts exactly what ``rat`` accepts, with the same errors: "p/q", "p",
+    decimal strings, ints and Fractions.  The denominator is positive.
+    Integer and "p/q" strings take a fast path through ``int``; every other
+    string is parsed by ``Fraction``.  A zero denominator or a decimal
+    exponent beyond ``_MAX_EXPONENT`` in absolute value raises ValueError,
+    like any other malformed literal.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+    # str first: isinstance against Fraction, an ABC, is slow for other types
     if isinstance(value, str):
+        plain = _PLAIN.fullmatch(value)
+        if plain:
+            num, den = plain.groups()
+            try:
+                num = int(num)
+                den = int(den) if den else 1
+            except ValueError:
+                pass  # more digits than int() allows: Fraction says so below
+            else:
+                if den:
+                    g = gcd(num, den)
+                    return num // g, den // g
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT}")
         try:
-            return Fraction(value.strip())
+            parsed = Fraction(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
+        return parsed.numerator, parsed.denominator
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot interpret {value!r} as a rational")
+
+
+def rat(value) -> Fraction:
+    """Parse a rational from "p/q", "p", a decimal string, an int or a Fraction.
+
+    ``rat_parts`` does the parsing and raises its errors.
+    """
+    if type(value) is Fraction:
+        return value
+    return Fraction(*rat_parts(value))
 
 
 def rat_str(value: Fraction) -> str:

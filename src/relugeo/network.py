@@ -9,6 +9,12 @@ by primitive integer directions: the triple (normal, offset, kink) only enters
 the response through kink * (sign * (normal.x - offset))_+, which is invariant
 under rescaling (normal, offset, kink) -> (c*normal, c*offset, kink/c) for
 c > 0, so every exact statement survives the integer rescaling.
+
+A raw network holds hidden neuron j as the integer row (W_j, B_j, D_j) with
+w1_j = W_j / D_j, b1_j = B_j / D_j and D_j the lcm of their denominators,
+parsed once from the weight literals.  The effective tuple is read off these
+rows in integers, so canonical forms, equivalence and evaluation of raw
+networks do no per-entry Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale, ZeroVector
-from .exact import dot, is_zero, primitive_direction, rat, scaled_point, vec
+from .exact import dot, is_zero, primitive_direction, rat, rat_parts, scaled_point, vec
 
 
 @dataclass(frozen=True, order=True)
@@ -31,7 +37,7 @@ class Breakline:
     offset: Fraction
 
     def __post_init__(self):
-        d = tuple(int(e) for e in self.direction)
+        d = tuple(map(int, self.direction))
         if not any(d):
             raise ZeroVector("a breakline direction must be nonzero")
         if gcd(*d) != 1 or next(e for e in d if e) < 0:
@@ -85,89 +91,132 @@ class EffectiveTuple:
         return EffectiveTuple(tuple(sorted(self.neurons, key=key)), self.out_bias)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ShallowNet:
-    """Raw configuration (W1, b1, W2, b2) over exact rationals, output dimension 1."""
+    """Raw configuration (W1, b1, W2, b2) over exact rationals, output dimension 1.
 
-    w1: tuple[tuple[Fraction, ...], ...]
-    b1: tuple[Fraction, ...]
+    Hidden neuron j is held as the integer row ``(W_j, B_j, D_j)`` with
+    w1_j = W_j / D_j, b1_j = B_j / D_j and D_j > 0 the lcm of their reduced
+    denominators.  That row is unique, so equality is equality of weights.
+    ``w1`` and ``b1`` give the weights back as Fractions.
+    """
+
+    rows: tuple[tuple[tuple[int, ...], int, int], ...]
     w2: tuple[Fraction, ...]
     b2: Fraction
 
-    def __post_init__(self):
-        w1 = tuple(vec(row) for row in self.w1)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", vec(self.b1))
-        object.__setattr__(self, "w2", vec(self.w2))
-        object.__setattr__(self, "b2", rat(self.b2))
+    def __init__(self, w1, b1, w2, b2):
+        w1 = [[rat_parts(e) for e in row] for row in w1]
+        b1 = [rat_parts(e) for e in b1]
+        w2 = vec(w2)
+        b2 = rat(b2)
         d1 = len(w1)
-        if len(self.b1) != d1 or len(self.w2) != d1:
+        if len(b1) != d1 or len(w2) != d1:
             raise DimensionMismatch("b1/W2 length must equal the number of hidden neurons")
         if d1 == 0:
             raise DimensionMismatch("need at least one hidden neuron")
         d0 = len(w1[0])
         if any(len(row) != d0 for row in w1):
             raise DimensionMismatch("W1 rows of unequal length")
+        rows = []
+        for row, (bn, bd) in zip(w1, b1):
+            den = lcm(bd, *(d for _, d in row))
+            rows.append((tuple(n * (den // d) for n, d in row), bn * (den // bd), den))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "w2", w2)
+        object.__setattr__(self, "b2", b2)
+
+    def __repr__(self):
+        return f"ShallowNet(w1={self.w1!r}, b1={self.b1!r}, w2={self.w2!r}, b2={self.b2!r})"
+
+    @property
+    def w1(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(e, den) for e in row) for row, _, den in self.rows)
+
+    @property
+    def b1(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(b, den) for _, b, den in self.rows)
 
     @property
     def d0(self) -> int:
-        return len(self.w1[0])
+        return len(self.rows[0][0])
 
     @property
     def d1(self) -> int:
-        return len(self.w1)
+        return len(self.rows)
 
 
 def evaluate_net(net: ShallowNet, x) -> Fraction:
-    """Exact response b2 + sum_j w2_j * max(w1_j . x + b1_j, 0)."""
+    """Exact response b2 + sum_j w2_j * max(w1_j . x + b1_j, 0).
+
+    Degenerate neurons are constant and fold into the output bias of
+    ``effective_tuple(net, drop_degenerate=True)``, whose response is then
+    exactly the net's.
+    """
     x = vec(x)
     if len(x) != net.d0:
         raise DimensionMismatch(f"point has length {len(x)}, net expects {net.d0}")
-    total = net.b2
-    for row, b, w2 in zip(net.w1, net.b1, net.w2):
-        pre = dot(row, x) + b
-        if pre > 0:
-            total += w2 * pre
-    return total
+    return tuple_evaluator(effective_tuple(net, drop_degenerate=True))(x)
 
 
-def tuple_evaluator(t: EffectiveTuple):
-    """Compile a tuple into an exact evaluator of its response.
+def response_kernel(neurons, affine, bias):
+    """Compile bias + affine . x + sum_j kink_j * (o_j * (d_j . x - q_j))_+.
 
-    With x = X / D (``scaled_point``) and offset q_j = r_j / s_j, neuron j
-    contributes kink_j * (o_j * (s_j d_j . X - r_j D))_+ / (s_j D).  Over a
-    common denominator m fixed here the response is
-    (B D + sum_j K_j (row_j . X + c_j D)_+) / (m D) with the integer row
-    o_j s_j d_j, the integer c_j = -o_j r_j, K_j = m kink_j / s_j and
-    B = m out_bias, so each call does integer arithmetic only.
+    ``neurons`` holds (breakline, kink, orientation) triples.  The compiled
+    function takes a point as ``scaled_point`` writes it, x = X / D, and
+    checks no dimensions.  With q_j = r_j / s_j, neuron j contributes
+    kink_j * (o_j * (s_j d_j . X - r_j D))_+ / (s_j D).  Over a common
+    denominator m fixed here the response is
+    (B D + A . X + sum_j K_j (row_j . X + c_j D)_+) / (m D) with the integer
+    row o_j s_j d_j, the integer c_j = -o_j r_j, K_j = m kink_j / s_j,
+    A = m affine and B = m bias, so each call does integer arithmetic only.
     """
-    dims = {nr.breakline.d0 for nr in t.neurons}
+    neurons = list(neurons)
     m = lcm(
-        t.out_bias.denominator,
-        *(nr.breakline.offset.denominator * nr.kink.denominator for nr in t.neurons),
+        bias.denominator,
+        *(a.denominator for a in affine),
+        *(bl.offset.denominator * k.denominator for bl, k, _ in neurons),
     )
-    bias = int(t.out_bias * m)
+    scaled_bias = bias.numerator * (m // bias.denominator)
+    scaled_affine = tuple(a.numerator * (m // a.denominator) for a in affine)
+    if not any(scaled_affine):
+        scaled_affine = None
     rows = []
-    for nr in t.neurons:
-        o, q = nr.orientation, nr.breakline.offset
+    for bl, k, o in neurons:
+        q = bl.offset
         rows.append(
             (
-                tuple(o * q.denominator * e for e in nr.breakline.direction),
+                tuple(o * q.denominator * e for e in bl.direction),
                 -o * q.numerator,
-                int(nr.kink * (m // q.denominator)),
+                int(k * (m // q.denominator)),
             )
         )
 
-    def evaluate(x) -> Fraction:
-        X, D = scaled_point(x)
-        if dims and dims != {len(X)}:
-            raise DimensionMismatch("point dimension does not match neuron breakline")
-        total = bias * D
+    def evaluate(X, D) -> Fraction:
+        total = scaled_bias * D
+        if scaled_affine:
+            total += sum(map(mul, scaled_affine, X))
         for row, c, k in rows:
             pre = sum(map(mul, row, X)) + c * D
             if pre > 0:
                 total += k * pre
         return Fraction(total, m * D)
+
+    return evaluate
+
+
+def tuple_evaluator(t: EffectiveTuple):
+    """Compile a tuple into an exact evaluator of its response (``response_kernel``)."""
+    dims = {nr.breakline.d0 for nr in t.neurons}
+    kernel = response_kernel(
+        ((nr.breakline, nr.kink, nr.orientation) for nr in t.neurons), (), t.out_bias
+    )
+
+    def evaluate(x) -> Fraction:
+        X, D = scaled_point(x)
+        if dims and dims != {len(X)}:
+            raise DimensionMismatch("point dimension does not match neuron breakline")
+        return kernel(X, D)
 
     return evaluate
 
@@ -180,21 +229,28 @@ def evaluate_tuple(t: EffectiveTuple, x) -> Fraction:
 def effective_tuple(net: ShallowNet, drop_degenerate: bool = False) -> EffectiveTuple:
     """Geometric description of a non-degenerate network.
 
+    On the integer row (W, B, D) of a neuron, with g = gcd(W) and o the sign
+    of the first nonzero entry of W, the breakline is {(o W / g) . x = -o B / g},
+    the kink is w2 g / D and the orientation is o.
+
     With ``drop_degenerate=True``, neurons with w2_j * w1_j = 0 are removed and
     their constant contribution w2_j * (b1_j)_+ is folded into the output bias
     instead of raising; the default keeps the strict non-degeneracy contract.
     """
     neurons = []
     bias = net.b2
-    for j, (row, b, w2) in enumerate(zip(net.w1, net.b1, net.w2)):
-        if w2 == 0 or is_zero(row):
+    for j, ((row, b, den), w2) in enumerate(zip(net.rows, net.w2)):
+        if w2 == 0 or not any(row):
             if drop_degenerate:
                 if b > 0:
-                    bias += w2 * b
+                    bias += w2 * Fraction(b, den)
                 continue
             raise DegenerateNeuron(j + 1)
-        d, s = primitive_direction(row)
-        neurons.append(Neuron(Breakline(d, -b / s), abs(s) * w2, 1 if s > 0 else -1))
+        g = gcd(*row)
+        o = 1 if next(e for e in row if e) > 0 else -1
+        d = tuple(o * e // g for e in row)
+        kink = Fraction(w2.numerator * g, w2.denominator * den)
+        neurons.append(Neuron(Breakline(d, Fraction(-o * b, g)), kink, o))
     return EffectiveTuple(tuple(neurons), bias)
 
 

@@ -325,3 +325,10 @@ def test_spec_breakline_of_wrong_dimension_exits_2_at_load(files, capsys, flags)
     spec = {"expr": "relu(affine([1],0))", "breaklines": [{"d": [1, 0], "q": "0"}]}
     assert run(["synth", files("spec.json", spec), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: declared breakline 1 has dimension 2")
+
+
+@pytest.mark.parametrize("command", ["canon", "classify", "enum"])
+def test_zero_dimensional_form_exits_2(files, capsys, command):
+    form = {"terms": [], "affine": [], "bias": "1", "d0": 0}
+    assert run([command, files("form.json", form)]) == 2
+    assert capsys.readouterr().err.startswith("error: a form needs d0 >= 1")

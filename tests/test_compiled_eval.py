@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relugeo.canonical import CanonicalForm, canonicalize, evaluate_cf
 from relugeo.errors import DimensionMismatch
 from relugeo.exact import dot, primitive_direction, scaled_point, vec
 from relugeo.network import Breakline, EffectiveTuple, Neuron, evaluate_tuple, tuple_evaluator
@@ -44,6 +45,18 @@ def reference_evaluate_tuple(t, x):
         pre = nr.orientation * nr.breakline.side(x)
         if pre > 0:
             total += nr.kink * pre
+    return total
+
+
+def reference_evaluate_cf(cf, x):
+    """bias + affine . x + sum_i kink_i * (d_i . x - q_i)_+ over Fraction."""
+    x = vec(x)
+    assert len(x) == cf.d0
+    total = cf.bias + dot(cf.affine, x)
+    for bl, k in cf.terms:
+        pre = bl.side(x)
+        if pre > 0:
+            total += k * pre
     return total
 
 
@@ -151,3 +164,37 @@ class TestTupleEvaluator:
         for n in (d0 - 1, d0 + 1):
             with pytest.raises(DimensionMismatch):
                 tuple_evaluator(t)((1,) * n)
+
+
+def forms(d0):
+    return st.builds(
+        lambda t, affine, bias: CanonicalForm(canonicalize(t, d0).terms, affine, bias, d0),
+        tuples(d0),
+        st.tuples(*[fractions] * d0),
+        fractions,
+    )
+
+
+class TestFormEvaluator:
+    @settings(max_examples=200, deadline=None)
+    @given(dims.flatmap(lambda d0: st.tuples(forms(d0), points(d0))))
+    def test_matches_reference(self, case):
+        cf, xs = case
+        for x in xs:
+            expected = reference_evaluate_cf(cf, x)
+            assert cf.evaluator(x) == expected
+            assert evaluate_cf(cf, x) == expected
+
+    @given(dims.flatmap(lambda d0: st.tuples(forms(d0), st.just(d0))))
+    def test_wrong_length_rejected(self, case):
+        cf, d0 = case
+        for n in (d0 - 1, d0 + 1):
+            with pytest.raises(DimensionMismatch, match=f"point has length {n}, form expects {d0}"):
+                evaluate_cf(cf, (1,) * n)
+
+    @given(dims.flatmap(forms))
+    def test_compiled_once_and_not_a_field(self, cf):
+        f = cf.evaluator
+        assert cf.evaluator is f
+        twin = CanonicalForm(cf.terms, cf.affine, cf.bias, cf.d0)
+        assert twin == cf and hash(twin) == hash(cf) and repr(twin) == repr(cf)
