@@ -28,6 +28,13 @@ from .pwa import PWASpec
 from .synthesis import check_transversality, synthesize
 
 
+# Bounds of `random` from measured cost: a 100 x 1000 net takes about 0.9 s;
+# no seed tried with --bound 8 needed more than 6 --transversal attempts, and
+# one attempt costs one check_transversality (1.4 s at d0 = 3, d1 = 20).
+_MAX_RANDOM_WEIGHTS = 100_000
+_MAX_RANDOM_ATTEMPTS = 20
+
+
 def _parse_r_list(text):
     return tuple(rat(part) for part in text.split(","))
 
@@ -94,8 +101,10 @@ def _cmd_eval(args):
 
 
 def _cmd_random(args):
+    if args.d0 * args.d1 > _MAX_RANDOM_WEIGHTS:
+        raise ValueError(f"d0 * d1 = {args.d0 * args.d1} exceeds {_MAX_RANDOM_WEIGHTS} weights")
     seed = args.seed
-    while True:
+    for _ in range(_MAX_RANDOM_ATTEMPTS):
         net = random_net(args.d0, args.d1, seed, args.bound)
         if not args.transversal:
             break
@@ -103,6 +112,8 @@ def _cmd_random(args):
         if len(set(breaklines)) == len(breaklines) and check_transversality(breaklines) is None:
             break
         seed += 1000003  # deterministic retry schedule
+    else:
+        raise ValueError(f"no transversal net found in {_MAX_RANDOM_ATTEMPTS} attempts")
     print(jsonio.dumps(jsonio.net_to_dict(net)))
     return 0
 

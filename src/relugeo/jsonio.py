@@ -1,8 +1,8 @@
 """JSON interchange for every serializable object in the package.
 
 Rationals always serialize as strings ("p/q" or "p"); decimal strings are
-accepted on input and converted exactly.  Loaders are lenient about raw JSON
-numbers for convenience, emitters are strict.
+accepted on input and converted exactly, and so are raw JSON integers; the
+integer fields (d0, d1, orient, directions) take non-bool JSON integers only.
 """
 
 from __future__ import annotations
@@ -18,6 +18,13 @@ from .pwa import PWASpec, expr_dim, flat_breaklines, parse_pwa
 from .synthesis import Violation
 
 
+def _int(value) -> int:
+    """An integer field; anything but a non-bool int raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected a JSON integer, found {value!r}")
+    return value
+
+
 def net_to_dict(net: ShallowNet) -> dict:
     return {
         "d0": net.d0,
@@ -31,9 +38,9 @@ def net_to_dict(net: ShallowNet) -> dict:
 
 def net_from_dict(data: dict) -> ShallowNet:
     net = ShallowNet(data["W1"], data["b1"], data["W2"], data["b2"])
-    if "d0" in data and net.d0 != data["d0"]:
+    if "d0" in data and net.d0 != _int(data["d0"]):
         raise ValueError("d0 does not match the shape of W1")
-    if "d1" in data and net.d1 != data["d1"]:
+    if "d1" in data and net.d1 != _int(data["d1"]):
         raise ValueError("d1 does not match the shape of W1")
     return net
 
@@ -44,7 +51,7 @@ def _breakline_to_dict(bl: Breakline) -> dict:
 
 def _breakline_from_dict(data: dict) -> Breakline:
     """A declared hyperplane {d.x = q}, rescaled to a primitive lex-positive d."""
-    d, s = primitive_direction([int(e) for e in data["d"]])
+    d, s = primitive_direction([_int(e) for e in data["d"]])
     return Breakline(d, rat(data["q"]) / s)
 
 
@@ -65,7 +72,7 @@ def tuple_to_dict(t: EffectiveTuple) -> dict:
 
 def tuple_from_dict(data: dict) -> EffectiveTuple:
     neurons = tuple(
-        Neuron(Breakline(nr["d"], nr["q"]), nr["kink"], int(nr["orient"]))
+        Neuron(Breakline([_int(e) for e in nr["d"]], nr["q"]), nr["kink"], _int(nr["orient"]))
         for nr in data["neurons"]
     )
     return EffectiveTuple(neurons, data["bias"])
@@ -84,8 +91,8 @@ def form_to_dict(cf: CanonicalForm) -> dict:
 
 
 def form_from_dict(data: dict) -> CanonicalForm:
-    terms = tuple((Breakline(t["d"], t["q"]), t["kink"]) for t in data["terms"])
-    return CanonicalForm(terms, data["affine"], data["bias"], int(data["d0"]))
+    terms = tuple((Breakline([_int(e) for e in t["d"]], t["q"]), t["kink"]) for t in data["terms"])
+    return CanonicalForm(terms, data["affine"], data["bias"], _int(data["d0"]))
 
 
 def family_to_dict(fam: RepresentationFamily) -> dict:

@@ -14,6 +14,8 @@ Grammar (whitespace-insensitive, rationals as ``p/q`` or decimals)::
 
 Unary minus binds tighter than '*', which binds tighter than '+'.  At most one
 factor of a product may be a function; the rest must be scalar literals.
+Factors nest at most ``_MAX_DEPTH`` deep, each parenthesis, call or unary
+minus adding a level, which bounds every recursive walk over a parsed tree.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import is_zero, primitive_direction, rat, rat_str, scaled_point, vec, vsub
+from .exact import primitive_direction, rat, rat_parts, rat_str, scaled_point, vec
 from .network import Breakline
 
 
@@ -77,6 +79,9 @@ class PWASpec:
     breaklines: tuple[Breakline, ...]
 
 
+# the parser spends about four frames per level; Python allows 1000 in all
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:/\d+)?)|(affine|relu|max|min)|([()\[\],+*-]))")
 
 
@@ -84,6 +89,7 @@ class _Lexer:
     def __init__(self, text):
         self.text = text
         self.pos = 0  # 0-based offset into text
+        self.depth = 0  # nesting level of the factor being parsed
 
     def peek(self):
         """(kind, value, 1-based position) of the next token; kind None at end."""
@@ -94,12 +100,8 @@ class _Lexer:
             if rest:
                 raise ParseError(at, {"a token"}, rest[0])
             return None, None, at
-        start = m.start(1) if m.group(1) else m.start(2) if m.group(2) else m.start(3)
-        if m.group(1):
-            return "num", m.group(1), start + 1
-        if m.group(2):
-            return "name", m.group(2), start + 1
-        return m.group(3), m.group(3), start + 1
+        i = m.lastindex  # exactly one of the three alternatives matched
+        return {1: "num", 2: "name"}.get(i, m.group(i)), m.group(i), m.start(i) + 1
 
     def next(self):
         tok = self.peek()
@@ -158,13 +160,17 @@ def _parse_product(lx):
 def _parse_signed(lx):
     """Returns (Fraction | expr, 1-based position)."""
     k, v, at = lx.peek()
+    if lx.depth == _MAX_DEPTH:
+        raise ParseError(at, {f"at most {_MAX_DEPTH} levels of nesting"}, v)
+    lx.depth += 1
     if k == "-":
         lx.next()
         inner, _ = _parse_signed(lx)
-        if isinstance(inner, Fraction):
-            return -inner, at
-        return Neg(inner), at
-    return _parse_atom(lx)
+        result = (-inner if isinstance(inner, Fraction) else Neg(inner)), at
+    else:
+        result = _parse_atom(lx)
+    lx.depth -= 1
+    return result
 
 
 def _parse_number(lx):
@@ -267,12 +273,11 @@ def evaluator(e: PWAExpr):
     Every node is positively homogeneous in (x, 1), and max, min and relu
     commute with positive scaling.  So with x = X / D (``scaled_point``) each
     node's value is N / (m * D), where the integer N depends on X and D only
-    and the denominator m > 0 is fixed here.  Affine subtrees fold into one
-    integer row; Sum, Max and Min bring their children to a common m.
-    Leaves of different dimensions raise DimensionMismatch here, a point of
-    the wrong length raises it on each call.
+    and the denominator m > 0 is fixed here (``_compile``).  Leaves of
+    different dimensions raise DimensionMismatch here, a point of the wrong
+    length raises it on each call.
     """
-    num, m = _compile(e)
+    num, m, _ = _compile(e)
     d0 = expr_dim(e)
 
     def evaluate(x) -> Fraction:
@@ -289,63 +294,50 @@ def eval_pwa(e: PWAExpr, x) -> Fraction:
 
 
 def _compile(e):
-    """(num, m) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0."""
-    lin = _linearize(e)
-    if lin is not None:
-        grad, const = vec(lin[0]), rat(lin[1])
-        m = lcm(const.denominator, *(c.denominator for c in grad))
-        row = tuple(int(c * m) for c in grad)
-        c0 = int(const * m)
-        return (lambda X, D: sum(map(mul, row, X)) + c0 * D), m
+    """(num, m, lin) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0.
+
+    ``lin`` is the integer pair (row, c) with num(X, D) == row . X + c * D when
+    the subtree is affine, else None.  Built bottom up: an Affine leaf is one
+    row over the lcm of its denominators, Scale and Neg multiply their child's
+    pair and a Sum of affine children adds their rows at the common m.
+    """
+    if isinstance(e, Affine):
+        coeffs = (*vec(e.coeffs), rat(e.const))
+        m = lcm(*(c.denominator for c in coeffs))
+        *row, c = (c.numerator * (m // c.denominator) for c in coeffs)
+        return _affine(tuple(row), c, m)
     if isinstance(e, Relu):
-        child, m = _compile(e.child)
-        return (lambda X, D: max(child(X, D), 0)), m
+        child, m, _ = _compile(e.child)
+        return (lambda X, D: max(child(X, D), 0)), m, None
     if isinstance(e, (Max, Min)):
-        [(left, wl), (right, wr)], m = _common((e.left, e.right))
+        [(left, wl, _), (right, wr, _)], m = _common((e.left, e.right))
         pick = max if isinstance(e, Max) else min
-        return (lambda X, D: pick(wl * left(X, D), wr * right(X, D))), m
+        return (lambda X, D: pick(wl * left(X, D), wr * right(X, D))), m, None
     if isinstance(e, Sum):
         parts, m = _common(e.children)
-        return (lambda X, D: sum(w * part(X, D) for part, w in parts)), m
-    if isinstance(e, Scale):
-        child, m = _compile(e.child)
-        factor = rat(e.factor)
-        p = factor.numerator
-        return (lambda X, D: p * child(X, D)), m * factor.denominator
-    if isinstance(e, Neg):
-        child, m = _compile(e.child)
-        return (lambda X, D: -child(X, D)), m
+        if any(lin is None for _, _, lin in parts):
+            return (lambda X, D: sum(w * part(X, D) for part, w, _ in parts)), m, None
+        rows = [[w * a for a in row] for _, w, (row, _) in parts]
+        return _affine(tuple(map(sum, zip(*rows))), sum(w * c for _, w, (_, c) in parts), m)
+    if isinstance(e, (Scale, Neg)):
+        child, m, lin = _compile(e.child)
+        p, q = rat_parts(e.factor) if isinstance(e, Scale) else (-1, 1)
+        if lin is None:
+            return (lambda X, D: p * child(X, D)), m * q, None
+        return _affine(tuple(p * a for a in lin[0]), p * lin[1], m * q)
     raise TypeError(f"not a PWA expression: {e!r}")
 
 
+def _affine(row, c, m):
+    """The (num, m, lin) triple of the affine numerator row . X + c * D."""
+    return (lambda X, D: sum(map(mul, row, X)) + c * D), m, (row, c)
+
+
 def _common(children):
-    """[(num, weight) per child] and their common denominator m."""
+    """[(num, weight, lin) per child] and their common denominator m."""
     compiled = [_compile(c) for c in children]
-    m = lcm(*(mc for _, mc in compiled))
-    return [(num, m // mc) for num, mc in compiled], m
-
-
-def _linearize(e):
-    """(gradient, const) when the subtree is affine, else None."""
-    if isinstance(e, Affine):
-        return vec(e.coeffs), e.const
-    if isinstance(e, Neg):
-        g = _linearize(e.child)
-        return None if g is None else (tuple(-c for c in g[0]), -g[1])
-    if isinstance(e, Scale):
-        g = _linearize(e.child)
-        return None if g is None else (tuple(e.factor * c for c in g[0]), e.factor * g[1])
-    if isinstance(e, Sum):
-        parts = [_linearize(c) for c in e.children]
-        if any(p is None for p in parts):
-            return None
-        grad = parts[0][0]
-        const = parts[0][1]
-        for g, c in parts[1:]:
-            grad = tuple(a + b for a, b in zip(grad, g))
-            const += c
-        return grad, const
-    return None
+    m = lcm(*(mc for _, mc, _ in compiled))
+    return [(num, m // mc, lin) for num, mc, lin in compiled], m
 
 
 def flat_breaklines(e: PWAExpr) -> list[Breakline]:
@@ -353,44 +345,32 @@ def flat_breaklines(e: PWAExpr) -> list[Breakline]:
 
     Flat means every Relu argument and every Max/Min argument difference is
     affine after distributing Sum/Scale/Neg; otherwise NotFlat is raised and
-    the caller must declare the breaklines explicitly.
+    the caller must declare the breaklines explicitly.  Arguments are read
+    off ``_compile``'s integer rows.
     """
-    out = []
-    seen = set()
+    found = {}  # insertion-ordered set
 
-    def add(grad, const):
-        if is_zero(grad):
-            return  # constant argument, no breakline
-        d, s = primitive_direction(grad)
-        bl = Breakline(d, -const / s)
-        if bl not in seen:
-            seen.add(bl)
-            out.append(bl)
+    def add(arg, message):
+        lin = _compile(arg)[2]
+        if lin is None:
+            raise NotFlat(message)
+        row, c = lin
+        if any(row):  # a constant argument has no breakline
+            d, s = primitive_direction(row)
+            found[Breakline(d, -c / s)] = None
 
     def walk(node):
-        if isinstance(node, Affine):
-            return
         if isinstance(node, (Scale, Neg)):
             walk(node.child)
-            return
-        if isinstance(node, Sum):
+        elif isinstance(node, Sum):
             for c in node.children:
                 walk(c)
-            return
-        if isinstance(node, Relu):
-            lin = _linearize(node.child)
-            if lin is None:
-                raise NotFlat("relu argument is not affine")
-            add(*lin)
-            return
-        if isinstance(node, (Max, Min)):
-            left = _linearize(node.left)
-            right = _linearize(node.right)
-            if left is None or right is None:
-                raise NotFlat("max/min argument is not affine")
-            add(vsub(left[0], right[0]), left[1] - right[1])
-            return
-        raise TypeError(f"not a PWA expression: {node!r}")
+        elif isinstance(node, Relu):
+            add(node.child, "relu argument is not affine")
+        elif isinstance(node, (Max, Min)):
+            add(Sum((node.left, Neg(node.right))), "max/min argument is not affine")
+        elif not isinstance(node, Affine):
+            raise TypeError(f"not a PWA expression: {node!r}")
 
     walk(e)
-    return out
+    return list(found)

@@ -23,7 +23,7 @@ from .errors import (
     NotRepresentable,
     NotTransversal,
 )
-from .exact import affine_fit, dot, is_zero, primitive_direction, rank, rat, solve_affine, vec, vsub
+from .exact import affine_fit, dot, is_zero, primitive_direction, rat, solve_affine, vec, vsub
 from .network import Breakline, EffectiveTuple, Neuron, tuple_evaluator
 from .pwa import PWASpec, evaluator, expr_dim
 
@@ -78,7 +78,8 @@ def point_on_breakline(breaklines, i, seed: int = 0):
     base = [Fraction(0)] * d0
     base[pivot] = Fraction(bl.offset, bl.direction[pivot])
     for j, b in enumerate(breaklines):
-        if j != i and rank([[*bl.direction, bl.offset], [*b.direction, b.offset]]) == 1:
+        # directions are primitive and lex-positive, so one hyperplane is one Breakline
+        if j != i and b == bl:
             raise NotTransversal(Violation(tuple(sorted((i, j))), tuple(base)))
     params = [c for c in range(d0) if c != pivot]
     span = []
