@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 
 from .errors import DimensionMismatch, LengthMismatch
-from .exact import rat, scaled_point, vec
+from .exact import compiled, rat, vec
 from .network import (
     Breakline,
     EffectiveTuple,
@@ -78,55 +79,51 @@ class CanonicalForm:
         the affine part its affine row.  Not a field: equality, hash and repr
         ignore it.
         """
-        d0 = self.d0
-        kernel = response_kernel(((bl, k, 1) for bl, k in self.terms), self.affine, self.bias)
-
-        def evaluate(x) -> Fraction:
-            X, D = scaled_point(x)
-            if len(X) != d0:
-                raise DimensionMismatch(f"point has length {len(X)}, form expects {d0}")
-            return kernel(X, D)
-
-        return evaluate
+        kernel = response_kernel((Neuron(bl, k, 1) for bl, k in self.terms), self.affine, self.bias)
+        return compiled(*kernel, self.d0, "form")
 
 
 def canonicalize(t: EffectiveTuple, d0: int | None = None) -> CanonicalForm:
     """Unique canonical form of a tuple's response.
 
     Negatively oriented neurons are rewritten through
-    k*(-(d.x-q))_+ = k*(d.x-q)_+ - k*(d.x-q), kinks are summed per breakline
-    and breaklines with vanishing effective kink are dropped.  The rewritten
-    affine part -sum k*d and bias sum k*q are integer sums over one common
-    denominator each.
+    k*(-(d.x-q))_+ = k*(d.x-q)_+ - k*(d.x-q) (``_kink_sums``), kinks are
+    summed per breakline and breaklines with vanishing effective kink are
+    dropped.
     """
     if d0 is None:
         d0 = t.d0
+    elif t.neurons and t.d0 != d0:
+        raise DimensionMismatch("neuron dimension does not match d0")
     effective: dict[Breakline, list[Fraction]] = {}
-    flipped = []
     for nr in t.neurons:
-        if nr.breakline.d0 != d0:
-            raise DimensionMismatch("neuron dimension does not match d0")
         effective.setdefault(nr.breakline, []).append(nr.kink)
-        if nr.orientation == -1:
-            flipped.append((nr.breakline, nr.kink))
-    m = lcm(*(k.denominator for _, k in flipped))
-    affine = [0] * d0
-    for bl, k in flipped:
-        c = k.numerator * (m // k.denominator)
-        for i, e in enumerate(bl.direction):
-            affine[i] -= c * e
-    n = lcm(*(k.denominator * bl.offset.denominator for bl, k in flipped))
-    shift = sum(
-        k.numerator * bl.offset.numerator * (n // (k.denominator * bl.offset.denominator))
-        for bl, k in flipped
-    )
+    flipped = ((nr.breakline, nr.kink) for nr in t.neurons if nr.orientation == -1)
+    kd, kq = _kink_sums(flipped, d0)
     kinks = ((bl, ks[0] if len(ks) == 1 else sum(ks)) for bl, ks in effective.items())
     terms = tuple(
         (bl, k) for bl, k in sorted(kinks, key=lambda it: (it[0].direction, it[0].offset)) if k
     )
-    return CanonicalForm(
-        terms, tuple(Fraction(a, m) for a in affine), t.out_bias + Fraction(shift, n), d0
+    return CanonicalForm(terms, tuple(-a for a in kd), t.out_bias + kq, d0)
+
+
+def _kink_sums(pairs, d0) -> tuple[tuple[Fraction, ...], Fraction]:
+    """(sum k*d, sum k*q) over (breakline, kink) pairs, each an integer sum over
+    one common denominator: what flipping the pairs' orientations moves into
+    the affine part and bias."""
+    pairs = list(pairs)
+    m = lcm(*(k.denominator for _, k in pairs))
+    kd = [0] * d0
+    for bl, k in pairs:
+        c = k.numerator * (m // k.denominator)
+        for i, e in enumerate(bl.direction):
+            kd[i] += c * e
+    n = lcm(*(k.denominator * bl.offset.denominator for bl, k in pairs))
+    kq = sum(
+        k.numerator * bl.offset.numerator * (n // (k.denominator * bl.offset.denominator))
+        for bl, k in pairs
     )
+    return tuple(Fraction(a, m) for a in kd), Fraction(kq, n)
 
 
 def evaluate_cf(cf: CanonicalForm, x) -> Fraction:
@@ -142,14 +139,8 @@ def sigma_affine(cf: CanonicalForm, sigma) -> tuple[tuple[Fraction, ...], Fracti
     sigma = tuple(sigma)
     if len(sigma) != cf.n:
         raise LengthMismatch(f"{len(sigma)} orientations for {cf.n} terms")
-    a = list(cf.affine)
-    b = cf.bias
-    for s, (bl, k) in zip(sigma, cf.terms):
-        if s == -1:
-            for i, e in enumerate(bl.direction):
-                a[i] += k * e
-            b -= k * bl.offset
-    return tuple(a), b
+    kd, kq = _kink_sums((term for s, term in zip(sigma, cf.terms) if s == -1), cf.d0)
+    return tuple(map(add, cf.affine, kd)), cf.bias - kq
 
 
 def sigma_tuple(cf: CanonicalForm, sigma, out_bias=0) -> EffectiveTuple:

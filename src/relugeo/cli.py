@@ -118,8 +118,15 @@ def _cmd_random(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors start with "error: " like every other exit-2 path."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n{self.format_usage()}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relugeo",
         description="Exact geometry of shallow ReLU networks",
     )

@@ -6,7 +6,10 @@ Directions of hyperplanes are stored as primitive integer vectors: not all
 zero, gcd one, first nonzero entry positive.  The sign convention doubles as
 the orientation cone: a nonzero vector is positively oriented iff its first
 nonzero coordinate is positive, which is decidable over the rationals without
-square roots.
+square roots.  ``primitive_row`` reads a direction and its orientation off an
+integer row.  ``compiled`` is the one wrapper that turns a function compiled
+to integers on a point's common denominator (``scaled_point``) into an exact
+evaluator that checks the point's length.
 
 There is one elimination routine, ``solve_affine`` (Gauss-Jordan over
 ``Fraction``); ``rank`` and ``in_span`` read their answers off its particular
@@ -123,6 +126,37 @@ def is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
 
+def compiled(num, m, d0, what):
+    """Exact evaluator x -> num(X, D) / (m * D) with (X, D) = ``scaled_point(x)``.
+
+    ``num`` is an integer-compiled function of a scaled point and m > 0 its
+    fixed denominator.  A point whose length is not d0 raises
+    DimensionMismatch naming ``what``; ``d0=None`` accepts any length.
+    """
+
+    def evaluate(x) -> Fraction:
+        X, D = scaled_point(x)
+        if d0 is not None and len(X) != d0:
+            raise DimensionMismatch(f"point has length {len(X)}, {what} expects {d0}")
+        return Fraction(num(X, D), m * D)
+
+    return evaluate
+
+
+def primitive_row(w) -> tuple[tuple[int, ...], int]:
+    """Write a nonzero integer row as g * d with d primitive and lex-positive.
+
+    Returns ``(d, g)``: |g| is the gcd of the row and the sign of g is the
+    sign of its first nonzero entry, the row's orientation.
+    """
+    g = gcd(*w)
+    if not g:
+        raise ZeroVector("cannot orient the zero vector")
+    if next(filter(None, w)) < 0:
+        g = -g
+    return (tuple(w) if g == 1 else tuple([e // g for e in w])), g
+
+
 def primitive_direction(v) -> tuple[tuple[int, ...], Fraction]:
     """Write a nonzero rational vector as s * d with d primitive and lex-positive.
 
@@ -131,16 +165,8 @@ def primitive_direction(v) -> tuple[tuple[int, ...], Fraction]:
     componentwise.  The sign of s is the orientation of v.
     """
     w, denom = scaled_point(v)
-    if not any(w):
-        raise ZeroVector("cannot orient the zero vector")
-    g = 0
-    for e in w:
-        g = gcd(g, abs(e))
-    first = next(e for e in w if e != 0)
-    sign = 1 if first > 0 else -1
-    d = tuple(sign * (e // g) for e in w)
-    s = Fraction(sign * g, denom)
-    return d, s
+    d, g = primitive_row(w)
+    return d, Fraction(g, denom)
 
 
 def solve_affine(rows, rhs, ncols):

@@ -34,7 +34,7 @@ from .errors import (
     EqualDirections,
 )
 from .exact import dot, in_span, is_zero, primitive_direction, rat, solve_affine, vec, vsub
-from .network import Breakline, EffectiveTuple, Neuron
+from .network import Breakline, EffectiveTuple, Neuron, affine_pair
 
 DEFAULT_CAP = 24
 
@@ -149,15 +149,11 @@ def _split_family(cf, kind, sigma, js):
 
 def _fresh_line_family(cf, sigma, r_values):
     a_sigma, b_sigma = sigma_affine(cf, sigma)
-    d, s = primitive_direction(a_sigma)
+    terms = tuple(Neuron(b, k, sg) for (b, k), sg in zip(cf.terms, sigma))
     tuples = []
     for r in r_values:
-        bl = Breakline(d, r)
-        neurons = tuple(Neuron(b, k, sg) for (b, k), sg in zip(cf.terms, sigma)) + (
-            Neuron(bl, s, 1),
-            Neuron(bl, -s, -1),
-        )
-        tuples.append(EffectiveTuple(neurons, s * r + b_sigma))
+        pos, neg, shift = affine_pair(a_sigma, r)
+        tuples.append(EffectiveTuple(terms + (pos, neg), shift + b_sigma))
     return RepresentationFamily(KIND_FRESH, sigma, (), tuple(tuples), tuple(r_values))
 
 

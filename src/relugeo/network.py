@@ -15,6 +15,11 @@ w1_j = W_j / D_j, b1_j = B_j / D_j and D_j the lcm of their denominators,
 parsed once from the weight literals.  The effective tuple is read off these
 rows in integers, so canonical forms, equivalence and evaluation of raw
 networks do no per-entry Fraction arithmetic.
+
+Tuples, raw networks and canonical forms evaluate through one compiled
+response, ``response_kernel``, wrapped by ``exact.compiled``.  An affine part
+costs a cancelling pair of neurons on a fresh breakline; ``affine_pair``
+builds it for ``affine_family``, the extra-breakline families and synthesis.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
-from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale, ZeroVector
-from .exact import dot, is_zero, primitive_direction, rat, rat_parts, scaled_point, vec
+from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale
+from .exact import compiled, dot, is_zero, primitive_direction, primitive_row, rat, rat_parts, vec
 
 
 @dataclass(frozen=True, order=True)
@@ -38,9 +43,7 @@ class Breakline:
 
     def __post_init__(self):
         d = tuple(map(int, self.direction))
-        if not any(d):
-            raise ZeroVector("a breakline direction must be nonzero")
-        if gcd(*d) != 1 or next(e for e in d if e) < 0:
+        if primitive_row(d)[1] != 1:
             raise ValueError(f"direction {list(d)} is not primitive and lex-positive")
         object.__setattr__(self, "direction", d)
         object.__setattr__(self, "offset", rat(self.offset))
@@ -74,6 +77,9 @@ class EffectiveTuple:
     def __post_init__(self):
         object.__setattr__(self, "neurons", tuple(self.neurons))
         object.__setattr__(self, "out_bias", rat(self.out_bias))
+        dims = {nr.breakline.d0 for nr in self.neurons}
+        if len(dims) > 1:
+            raise DimensionMismatch(f"neurons of mixed breakline dimensions {sorted(dims)}")
 
     @property
     def d0(self) -> int:
@@ -153,25 +159,23 @@ def evaluate_net(net: ShallowNet, x) -> Fraction:
     ``effective_tuple(net, drop_degenerate=True)``, whose response is then
     exactly the net's.
     """
-    x = vec(x)
-    if len(x) != net.d0:
-        raise DimensionMismatch(f"point has length {len(x)}, net expects {net.d0}")
-    return tuple_evaluator(effective_tuple(net, drop_degenerate=True))(x)
+    t = effective_tuple(net, drop_degenerate=True)
+    return compiled(*response_kernel(t.neurons, (), t.out_bias), net.d0, "net")(x)
 
 
 def response_kernel(neurons, affine, bias):
     """Compile bias + affine . x + sum_j kink_j * (o_j * (d_j . x - q_j))_+.
 
-    ``neurons`` holds (breakline, kink, orientation) triples.  The compiled
-    function takes a point as ``scaled_point`` writes it, x = X / D, and
-    checks no dimensions.  With q_j = r_j / s_j, neuron j contributes
+    Returns ``(num, m)`` for ``compiled``: num takes a point as
+    ``scaled_point`` writes it, x = X / D, and checks no dimensions.  With
+    q_j = r_j / s_j, neuron j contributes
     kink_j * (o_j * (s_j d_j . X - r_j D))_+ / (s_j D).  Over a common
     denominator m fixed here the response is
     (B D + A . X + sum_j K_j (row_j . X + c_j D)_+) / (m D) with the integer
     row o_j s_j d_j, the integer c_j = -o_j r_j, K_j = m kink_j / s_j,
     A = m affine and B = m bias, so each call does integer arithmetic only.
     """
-    neurons = list(neurons)
+    neurons = [(nr.breakline, nr.kink, nr.orientation) for nr in neurons]
     m = lcm(
         bias.denominator,
         *(a.denominator for a in affine),
@@ -192,7 +196,7 @@ def response_kernel(neurons, affine, bias):
             )
         )
 
-    def evaluate(X, D) -> Fraction:
+    def num(X, D) -> int:
         total = scaled_bias * D
         if scaled_affine:
             total += sum(map(mul, scaled_affine, X))
@@ -200,25 +204,15 @@ def response_kernel(neurons, affine, bias):
             pre = sum(map(mul, row, X)) + c * D
             if pre > 0:
                 total += k * pre
-        return Fraction(total, m * D)
+        return total
 
-    return evaluate
+    return num, m
 
 
 def tuple_evaluator(t: EffectiveTuple):
     """Compile a tuple into an exact evaluator of its response (``response_kernel``)."""
-    dims = {nr.breakline.d0 for nr in t.neurons}
-    kernel = response_kernel(
-        ((nr.breakline, nr.kink, nr.orientation) for nr in t.neurons), (), t.out_bias
-    )
-
-    def evaluate(x) -> Fraction:
-        X, D = scaled_point(x)
-        if dims and dims != {len(X)}:
-            raise DimensionMismatch("point dimension does not match neuron breakline")
-        return kernel(X, D)
-
-    return evaluate
+    kernel = response_kernel(t.neurons, (), t.out_bias)
+    return compiled(*kernel, t.d0 if t.neurons else None, "tuple")
 
 
 def evaluate_tuple(t: EffectiveTuple, x) -> Fraction:
@@ -246,11 +240,10 @@ def effective_tuple(net: ShallowNet, drop_degenerate: bool = False) -> Effective
                     bias += w2 * Fraction(b, den)
                 continue
             raise DegenerateNeuron(j + 1)
-        g = gcd(*row)
-        o = 1 if next(e for e in row if e) > 0 else -1
-        d = tuple(o * e // g for e in row)
-        kink = Fraction(w2.numerator * g, w2.denominator * den)
-        neurons.append(Neuron(Breakline(d, Fraction(-o * b, g)), kink, o))
+        d, g = primitive_row(row)
+        o = 1 if g > 0 else -1
+        kink = Fraction(w2.numerator * o * g, w2.denominator * den)
+        neurons.append(Neuron(Breakline(d, Fraction(-b, g)), kink, o))
     return EffectiveTuple(tuple(neurons), bias)
 
 
@@ -281,20 +274,23 @@ def affine_family(a, b, r) -> ShallowNet:
     the expansion scales of the positively and negatively oriented neuron and
     r3 is the shared breakline offset (in the primitive-direction scaling).
     """
-    a = vec(a)
-    b = rat(b)
     r1, r2, r3 = (rat(x) for x in r)
-    if is_zero(a):
-        raise ZeroVector("affine_family needs a nonzero gradient")
+    pos, neg, shift = affine_pair(a, r3)
     if r1 <= 0 or r2 <= 0:
         raise NonPositiveScale(1 if r1 <= 0 else 2)
+    return expand(EffectiveTuple((pos, neg), rat(b) + shift), (r1, r2))
+
+
+def affine_pair(a, r) -> tuple[Neuron, Neuron, Fraction]:
+    """A cancelling pair of neurons on the breakline {d.x = r} carrying x -> a.x.
+
+    With (d, s) = primitive_direction(a) the neurons are s*(d.x - r)_+ and
+    -s*(-(d.x - r))_+, whose sum is a.x - s*r; ``shift`` = s*r is what the
+    output bias must add back.  A zero ``a`` raises ZeroVector.
+    """
     d, s = primitive_direction(a)
-    bl = Breakline(d, r3)
-    t = EffectiveTuple(
-        (Neuron(bl, s, 1), Neuron(bl, -s, -1)),
-        b + s * r3,
-    )
-    return expand(t, (r1, r2))
+    bl = Breakline(d, r)
+    return Neuron(bl, s, 1), Neuron(bl, -s, -1), s * bl.offset
 
 
 def random_net(d0: int, d1: int, seed: int, coeff_bound: int = 8) -> ShallowNet:

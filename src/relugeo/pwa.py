@@ -27,7 +27,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import primitive_direction, rat, rat_parts, rat_str, scaled_point, vec
+from .exact import compiled, primitive_row, rat, rat_parts, rat_str, vec
 from .network import Breakline
 
 
@@ -278,15 +278,7 @@ def evaluator(e: PWAExpr):
     length raises it on each call.
     """
     num, m, _ = _compile(e)
-    d0 = expr_dim(e)
-
-    def evaluate(x) -> Fraction:
-        X, D = scaled_point(x)
-        if len(X) != d0:
-            raise DimensionMismatch(f"point has length {len(X)}, leaf expects {d0}")
-        return Fraction(num(X, D), m * D)
-
-    return evaluate
+    return compiled(num, m, expr_dim(e), "leaf")
 
 
 def eval_pwa(e: PWAExpr, x) -> Fraction:
@@ -356,8 +348,8 @@ def flat_breaklines(e: PWAExpr) -> list[Breakline]:
             raise NotFlat(message)
         row, c = lin
         if any(row):  # a constant argument has no breakline
-            d, s = primitive_direction(row)
-            found[Breakline(d, -c / s)] = None
+            d, g = primitive_row(row)
+            found[Breakline(d, Fraction(-c, g))] = None
 
     def walk(node):
         if isinstance(node, (Scale, Neg)):

@@ -3,11 +3,14 @@
 Under the transversality condition (breaklines through any common point have
 linearly independent normals) the gradient jump across each breakline is
 constant, so the function can be peeled one breakline at a time: measure the
-jump at a sample point, subtract the matching kink term, recurse.  What
-survives is affine and costs at most two further neurons, for a total of at
-most n+2.  The gradient on either side of a breakline is recovered by exact
-affine interpolation on small simplices with validation points, so any exact
-evaluator works, not just parsed expressions.
+jump at a sample point, read the kink off it, recurse on the residual
+f - peeled, where peeled is the compiled response of the neurons found so
+far.  What survives is affine and costs at most two further neurons, a
+cancelling pair (``affine_pair``), for a total of at most n+2.  The gradient
+on either side of a breakline is recovered by exact affine interpolation on
+small simplices with validation points, so any exact evaluator works, not
+just parsed expressions.  The residual check and the final verification are
+one test, f == response, on sampled points.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from .errors import (
     CapExceeded,
@@ -24,10 +28,15 @@ from .errors import (
     NotTransversal,
 )
 from .exact import affine_fit, dot, is_zero, primitive_direction, rat, solve_affine, vec, vsub
-from .network import Breakline, EffectiveTuple, Neuron, tuple_evaluator
+from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
 from .pwa import PWASpec, evaluator, expr_dim
 
 DEFAULT_TRANSVERSALITY_CAP = 20
+
+# Subsets check_transversality may examine, one solve_affine each.  Measured:
+# 20 breaklines in d0 = 3 are 6,175 subsets (1.6 s), 16 in d0 = 4 are 6,868
+# (3.3 s); a subset costs more as d0 grows (0.26 ms at d0 = 3, 0.8 ms at 5).
+_MAX_SUBSETS = 8_000
 
 
 @dataclass(frozen=True)
@@ -42,7 +51,8 @@ def check_transversality(breaklines, cap: int = DEFAULT_TRANSVERSALITY_CAP):
     Otherwise a Violation carrying a minimal offending subset and a rational
     point in its common intersection.  A minimal offending subset has at most
     d0+1 members (dropping its last member leaves an independent family), so
-    only subsets up to that size are examined.
+    only subsets up to that size are examined.  More than ``cap`` breaklines,
+    or more than ``_MAX_SUBSETS`` subsets to examine, raise CapExceeded.
     """
     breaklines = list(breaklines)
     n = len(breaklines)
@@ -51,7 +61,11 @@ def check_transversality(breaklines, cap: int = DEFAULT_TRANSVERSALITY_CAP):
     if n == 0:
         return None
     d0 = breaklines[0].d0
-    for size in range(2, min(n, d0 + 1) + 1):
+    sizes = range(2, min(n, d0 + 1) + 1)
+    subsets = sum(comb(n, size) for size in sizes)
+    if subsets > _MAX_SUBSETS:
+        raise CapExceeded(f"{subsets} subsets exceed the transversality cap of {_MAX_SUBSETS}")
+    for size in sizes:
         for subset in combinations(range(n), size):
             rows = [breaklines[i].direction for i in subset]
             rhs = [breaklines[i].offset for i in subset]
@@ -113,16 +127,10 @@ def point_on_breakline(breaklines, i, seed: int = 0):
         radius += 1
 
 
-def _unit(d0, c):
-    v = [Fraction(0)] * d0
-    v[c] = Fraction(1)
-    return tuple(v)
-
-
-def _fit_around(f, center, radius, d0):
+def _fit_around(f, center, radius):
     """Exact affine fit of f on a simplex of the given radius around center."""
     points = [tuple(center)] + [
-        tuple(a + radius * b for a, b in zip(center, _unit(d0, c))) for c in range(d0)
+        tuple(a + radius * (i == c) for i, a in enumerate(center)) for c in range(len(center))
     ]
     values = [f(p) for p in points]
     return affine_fit(points, values)
@@ -138,7 +146,6 @@ def jump_vector(f, bl: Breakline, x, step=Fraction(1), halvings: int = 20):
     dominates the simplex radius.
     """
     x = vec(x)
-    d0 = bl.d0
     dvec = vec(bl.direction)
     step = rat(step)
     for _ in range(halvings):
@@ -146,8 +153,8 @@ def jump_vector(f, bl: Breakline, x, step=Fraction(1), halvings: int = 20):
         ok = True
         for sign in (1, -1):
             y = tuple(a + sign * step * b for a, b in zip(x, dvec))
-            fit1 = _fit_around(f, y, step / 2, d0)
-            fit2 = _fit_around(f, y, step / 4, d0)
+            fit1 = _fit_around(f, y, step / 2)
+            fit2 = _fit_around(f, y, step / 4)
             if fit1 is None or fit2 is None or fit1 != fit2:
                 ok = False
                 break
@@ -181,16 +188,6 @@ def _safe_step(breaklines, k, x):
     return step
 
 
-def _subtract_kink(f, kink, bl):
-    def g(x):
-        pre = bl.side(x)
-        if pre > 0:
-            return f(x) - kink * pre
-        return f(x)
-
-    return g
-
-
 def synthesize_evaluator(
     f,
     breaklines,
@@ -207,66 +204,47 @@ def synthesize_evaluator(
     still rejects anything that is not a response.
     """
     breaklines = list(breaklines)
-    n = len(breaklines)
     if check:
         violation = check_transversality(breaklines)
         if violation is not None:
             raise NotTransversal(violation)
 
     residual = f
-    kinks = []
-    for k in range(n - 1, -1, -1):
+    peeled = []
+    for k in range(len(breaklines) - 1, -1, -1):
         bl = breaklines[k]
         x = point_on_breakline(breaklines, k, seed + k)
         jump = jump_vector(residual, bl, x, step=_safe_step(breaklines, k, x))
         if is_zero(jump):
-            kinks.append(Fraction(0))
             continue
-        # jump must be a rational multiple of the breakline direction
-        span = solve_affine([[Fraction(e)] for e in bl.direction], jump, 1)
-        if span is None:
+        # jump must be a rational multiple, the kink, of the breakline direction
+        d, kink = primitive_direction(jump)
+        if d != bl.direction:
             raise NotRepresentable(
                 "JumpNotParallel",
                 f"jump {tuple(jump)} across breakline {k + 1} is not parallel to its normal",
             )
-        kink = span[0][0]
-        kinks.append(kink)
-        residual = _subtract_kink(residual, kink, bl)
-    kinks.reverse()
+        peeled.insert(0, Neuron(bl, kink, 1))
+        g = tuple_evaluator(EffectiveTuple(peeled, 0))
+        residual = lambda p, g=g: f(p) - g(p)
 
-    origin = (Fraction(0),) * d0
-    fit = _fit_around(residual, origin, Fraction(1), d0)
-    if fit is None:
-        raise NotRepresentable("ResidualNotAffine", "degenerate affine fit of the residual")
-    grad, const = fit
-    rng = random.Random(seed)
-    for _ in range(2 * d0 + 8):
-        p = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(d0))
-        if residual(p) != dot(grad, p) + const:
-            raise NotRepresentable(
-                "ResidualNotAffine", f"residual disagrees with its affine fit at {p}"
-            )
-
-    neurons = [
-        Neuron(bl, kink, 1) for bl, kink in zip(breaklines, kinks) if kink != 0
-    ]
-    if is_zero(grad):
-        bias = const
-    else:
-        d, s = primitive_direction(grad)
-        fresh = Breakline(d, 0)
-        neurons.append(Neuron(fresh, s, 1))
-        neurons.append(Neuron(fresh, -s, -1))
-        bias = const
-    result = EffectiveTuple(tuple(neurons), bias)
+    # never None: the origin and the unit vectors are affinely independent
+    grad, const = _fit_around(residual, (Fraction(0),) * d0, Fraction(1))
+    pair = () if is_zero(grad) else affine_pair(grad, 0)[:2]  # on {d.x = 0}: no shift
+    result = EffectiveTuple((*peeled, *pair), const)
     response = tuple_evaluator(result)
-    for _ in range(n_verify):
-        p = tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 10)) for _ in range(d0))
-        if f(p) != response(p):
-            raise NotRepresentable(
-                "MissingBreakline",
-                f"function disagrees with the synthesized network at {p}",
-            )
+    # residual == grad.x + const is f == response: one rng stream checks the
+    # fit first, then looks for breaklines the declaration missed
+    rng = random.Random(seed)
+    phases = (
+        (2 * d0 + 8, 40, 8, "ResidualNotAffine", "residual disagrees with its affine fit"),
+        (n_verify, 60, 10, "MissingBreakline", "function disagrees with the synthesized network"),
+    )
+    for count, num, den, reason, detail in phases:
+        for _ in range(count):
+            p = tuple(Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(d0))
+            if f(p) != response(p):
+                raise NotRepresentable(reason, f"{detail} at {p}")
     return result
 
 

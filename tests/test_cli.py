@@ -332,3 +332,65 @@ def test_zero_dimensional_form_exits_2(files, capsys, command):
     form = {"terms": [], "affine": [], "bias": "1", "d0": 0}
     assert run([command, files("form.json", form)]) == 2
     assert capsys.readouterr().err.startswith("error: a form needs d0 >= 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "{file}", "--cap", "abc"],
+        ["canon", "{file}", "--bogus"],
+        ["eval", "{file}"],
+        [],
+    ],
+    ids=["bad-int", "unknown-flag", "missing-option", "no-command"],
+)
+def test_usage_errors_start_with_error(files, capsys, argv):
+    path = files("relu.json", RELU_NET)
+    assert run([a.format(file=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "usage: relugeo" in err
+
+
+def test_tuple_of_mixed_dimensions_exits_2(files, capsys):
+    data = {
+        "neurons": [
+            {"d": [1], "q": "0", "kink": "1", "orient": 1},
+            {"d": [1, 0], "q": "0", "kink": "1", "orient": 1},
+        ],
+        "bias": "0",
+    }
+    path = files("mixed.json", data)
+    for argv in (["canon", path], ["eval", path, "--x", "1"], ["classify", path]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: neurons of mixed breakline dimensions")
+
+
+def _many_breaklines(d0, n):
+    """n declared hyperplanes sum_j i^j x_j = i^d0 in general position.
+
+    No d0+1 of them share a point (a polynomial of degree d0 has at most d0
+    roots), so a transversality check has to examine every subset.
+    """
+    return [{"d": [i**j for j in range(d0)], "q": str(i**d0)} for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["synth", "{spec}"], ["random", "--d0", "5", "--d1", "20", "--transversal"]],
+    ids=["synth", "random"],
+)
+def test_transversality_subset_cap_exits_2_quickly(tmp_path, argv):
+    # 20 breaklines in d0 = 5 are 60,439 subsets, close to a minute of solves
+    spec = tmp_path / "spec.json"
+    expr = "relu(affine([1,0,0,0,0],0))"
+    spec.write_text(json.dumps({"expr": expr, "breaklines": _many_breaklines(5, 20)}))
+    env = dict(os.environ, PYTHONPATH=str(Path(relugeo.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "relugeo.cli", *(a.format(spec=spec) for a in argv)],
+        capture_output=True,
+        text=True,
+        timeout=15,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "transversality cap" in proc.stderr

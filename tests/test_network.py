@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from relugeo.errors import DegenerateNeuron, NonPositiveScale, ZeroVector
+from relugeo.errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale, ZeroVector
 from relugeo.exact import affine_fit
 from relugeo.network import (
     Breakline,
@@ -167,3 +167,13 @@ class TestSorted:
         a = T([((1,), 0, 1, 1), ((1,), 1, 2, 1)])
         b = EffectiveTuple(tuple(reversed(a.neurons)), a.out_bias)
         assert a.sorted() == b.sorted()
+
+
+class TestTupleDimension:
+    def test_mixed_dimensions_rejected_at_construction(self):
+        with pytest.raises(DimensionMismatch, match="mixed breakline dimensions"):
+            T([((1,), 0, 1, 1), ((1, 0), 0, 1, 1)])
+
+    def test_wrong_point_length_names_the_tuple(self):
+        with pytest.raises(DimensionMismatch, match="point has length 1, tuple expects 2"):
+            evaluate_tuple(T([((1, 0), 0, 1, 1)]), (1,))
