@@ -9,7 +9,8 @@ nonzero coordinate is positive, which is decidable over the rationals without
 square roots.  ``primitive_row`` reads a direction and its orientation off an
 integer row.  ``compiled`` is the one wrapper that turns a function compiled
 to integers on a point's common denominator (``scaled_point``) into an exact
-evaluator that checks the point's length.
+evaluator that checks the point's length, and leaves the integer function on
+the evaluator as its ``kernel``.
 
 There is one elimination routine, ``solve_affine`` (Gauss-Jordan over
 ``Fraction``); ``rank`` and ``in_span`` read their answers off its particular
@@ -131,7 +132,11 @@ def compiled(num, m, d0, what):
 
     ``num`` is an integer-compiled function of a scaled point and m > 0 its
     fixed denominator.  A point whose length is not d0 raises
-    DimensionMismatch naming ``what``; ``d0=None`` accepts any length.
+    DimensionMismatch naming ``what``; ``d0=None`` accepts any length.  The
+    evaluator carries ``kernel = (num, m)`` for callers that hold a point as
+    integers already: num is positively homogeneous in (X, D), so any D > 0
+    with X = D * x, reduced or not, gives the same value, and num checks no
+    length.
     """
 
     def evaluate(x) -> Fraction:
@@ -140,6 +145,7 @@ def compiled(num, m, d0, what):
             raise DimensionMismatch(f"point has length {len(X)}, {what} expects {d0}")
         return Fraction(num(X, D), m * D)
 
+    evaluate.kernel = num, m
     return evaluate
 
 

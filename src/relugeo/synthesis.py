@@ -10,7 +10,10 @@ cancelling pair (``affine_pair``), for a total of at most n+2.  The gradient
 on either side of a breakline is recovered by exact affine interpolation on
 small simplices with validation points, so any exact evaluator works, not
 just parsed expressions.  The residual check and the final verification are
-one test, f == response, on sampled points.
+one test, f == response, on sampled points.  It compares integer numerators:
+each point is drawn as X / D, the response and a compiled f are evaluated
+through their ``kernel`` (``exact.compiled``) with no Fraction per point, and
+a black-box f is lifted to the numerator f(X / D) * D.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, lcm
 
 from .errors import (
     CapExceeded,
@@ -33,10 +36,12 @@ from .pwa import PWASpec, evaluator, expr_dim
 
 DEFAULT_TRANSVERSALITY_CAP = 20
 
-# Subsets check_transversality may examine, one solve_affine each.  Measured:
-# 20 breaklines in d0 = 3 are 6,175 subsets (1.6 s), 16 in d0 = 4 are 6,868
-# (3.3 s); a subset costs more as d0 grows (0.26 ms at d0 = 3, 0.8 ms at 5).
-_MAX_SUBSETS = 8_000
+# Work check_transversality may do: one solve_affine per subset, k^2 * d0
+# units for a subset of size k.  Measured in process (Python 3.11, 2-CPU
+# shared x86-64 host) at 3.2 to 5.7 us per unit from d0 = 3 to 20, so the cap
+# is about 2 s: 20 breaklines in d0 = 3 are 265,620 units (0.9 to 1.5 s), 16
+# in d0 = 4 are 575,360 (1.9 to 2.5 s).
+_MAX_WORK = 350_000
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,8 @@ def check_transversality(breaklines, cap: int = DEFAULT_TRANSVERSALITY_CAP):
     point in its common intersection.  A minimal offending subset has at most
     d0+1 members (dropping its last member leaves an independent family), so
     only subsets up to that size are examined.  More than ``cap`` breaklines,
-    or more than ``_MAX_SUBSETS`` subsets to examine, raise CapExceeded.
+    or more than ``_MAX_WORK`` units of work (k^2 * d0 per subset of size k),
+    raise CapExceeded.
     """
     breaklines = list(breaklines)
     n = len(breaklines)
@@ -62,9 +68,9 @@ def check_transversality(breaklines, cap: int = DEFAULT_TRANSVERSALITY_CAP):
         return None
     d0 = breaklines[0].d0
     sizes = range(2, min(n, d0 + 1) + 1)
-    subsets = sum(comb(n, size) for size in sizes)
-    if subsets > _MAX_SUBSETS:
-        raise CapExceeded(f"{subsets} subsets exceed the transversality cap of {_MAX_SUBSETS}")
+    work = sum(comb(n, size) * size * size * d0 for size in sizes)
+    if work > _MAX_WORK:
+        raise CapExceeded(f"{work} units of work exceed the transversality cap of {_MAX_WORK}")
     for size in sizes:
         for subset in combinations(range(n), size):
             rows = [breaklines[i].direction for i in subset]
@@ -232,7 +238,12 @@ def synthesize_evaluator(
     grad, const = _fit_around(residual, (Fraction(0),) * d0, Fraction(1))
     pair = () if is_zero(grad) else affine_pair(grad, 0)[:2]  # on {d.x = 0}: no shift
     result = EffectiveTuple((*peeled, *pair), const)
-    response = tuple_evaluator(result)
+    rnum, rm = tuple_evaluator(result).kernel
+    # f == response on x = X / D is fnum(X, D) * rm == rnum(X, D) * fm; a
+    # black box is lifted to the numerator f(x) * D over fm = 1.  The residual
+    # fit above already called f on points of length d0.
+    lifted = lambda X, D: f(tuple(Fraction(c, D) for c in X)) * D
+    fnum, fm = getattr(f, "kernel", (lifted, 1))
     # residual == grad.x + const is f == response: one rng stream checks the
     # fit first, then looks for breaklines the declaration missed
     rng = random.Random(seed)
@@ -242,8 +253,11 @@ def synthesize_evaluator(
     )
     for count, num, den, reason, detail in phases:
         for _ in range(count):
-            p = tuple(Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(d0))
-            if f(p) != response(p):
+            coords = [(rng.randint(-num, num), rng.randint(1, den)) for _ in range(d0)]
+            D = lcm(*(b for _, b in coords))
+            X = [a * (D // b) for a, b in coords]
+            if fnum(X, D) * rm != rnum(X, D) * fm:
+                p = tuple(Fraction(a, b) for a, b in coords)
                 raise NotRepresentable(reason, f"{detail} at {p}")
     return result
 

@@ -47,7 +47,7 @@ def invoke(argv, files=()):
 def assert_contract(code, err):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
-    # usage errors end with argparse's "prog: error: ...", all others start with it
+    # every exit-2 stderr starts with "error: "; usage errors add the usage line
     assert ("error: " in err) if code == 2 else err == ""
 
 
