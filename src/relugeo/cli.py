@@ -13,7 +13,7 @@ import sys
 
 from . import jsonio
 from .canonical import CanonicalForm, _as_form, equivalence, evaluate_cf
-from .errors import NotRepresentable, NotTransversal, ParseError, RelugeoError
+from .errors import NotRepresentable, NotTransversal, RelugeoError
 from .exact import rat, rat_str
 from .minimality import DEFAULT_CAP, classify, enumerate_minimal
 from .network import (
@@ -183,7 +183,7 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (ParseError, RelugeoError, ValueError, OSError, KeyError) as exc:
+    except (RelugeoError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

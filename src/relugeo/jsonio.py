@@ -158,10 +158,14 @@ def pwa_spec_from_dict(data: dict) -> PWASpec:
 def load(path: str):
     """Load any known object from a JSON file, sniffing its schema by keys.
 
-    Values of the wrong type or shape raise SchemaError.
+    Values of the wrong type or shape, and nesting too deep for the JSON
+    decoder, raise SchemaError.
     """
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
     try:
         return from_dict(data)
     except (TypeError, AttributeError) as exc:

@@ -168,11 +168,8 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
     """
     _check_cap(cf.n, cap)
     r_values = tuple(rat(r) for r in r_samples)
-    if cf.is_affine():
-        if is_zero(cf.affine):
-            return []
-        # same structure as the extra-breakline construction, with no terms
-        return [_fresh_line_family(cf, (), r_values)]
+    if cf.is_affine() and is_zero(cf.affine):
+        return []
 
     dirs = sorted({bl.direction for bl in cf.breaklines})
     cases = (
@@ -200,7 +197,6 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
 
 def classify(cf: CanonicalForm, cap: int = DEFAULT_CAP, r_samples=(0,)) -> MinimalityReport:
     """Minimal width, case tag, families and manifold statistics."""
-    _check_cap(cf.n, cap)
     n = cf.n
     families = tuple(enumerate_minimal(cf, r_samples, cap))
 

@@ -1,9 +1,9 @@
 """Inputs from outside the program: every one exits 0, 1 or 2, never a traceback.
 
-Regression tests for deep expression nesting, non-integer JSON integer
-fields and unbounded ``random`` runs, then an in-process Hypothesis fuzz of
-the CLI on tuples, forms and specs and on the ``--x``, ``--r`` and ``--cap``
-arguments.
+Regression tests for deep expression nesting, deeply nested JSON,
+non-integer JSON integer fields and unbounded ``random`` runs, then an
+in-process Hypothesis fuzz of the CLI on tuples, forms and specs and on the
+``--x``, ``--r`` and ``--cap`` arguments.
 """
 
 import contextlib
@@ -82,6 +82,18 @@ def test_depth_bound_is_exact():
         with pytest.raises(ParseError) as err:
             parse_pwa(text)
         assert err.value.position == text.index("affine") + 1  # the first factor past the bound
+
+
+@pytest.mark.parametrize("argv", [["canon"], ["equiv", "x"], ["synth"], ["eval", "--x", "1"]])
+def test_deeply_nested_json_exits_2(argv, tmp_path):
+    # deeper than the JSON decoder recurses: json.load raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([argv[0], str(path), *argv[1:]])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == f"error: {path}: JSON nested too deeply\n"
 
 
 def test_depth_counts_nesting_not_length():
