@@ -243,8 +243,17 @@ def effective_tuple(net: ShallowNet, drop_degenerate: bool = False) -> Effective
         d, g = primitive_row(row)
         o = 1 if g > 0 else -1
         kink = Fraction(w2.numerator * o * g, w2.denominator * den)
-        neurons.append(Neuron(Breakline(d, Fraction(-b, g)), kink, o))
+        bl = _trusted(Breakline, direction=d, offset=Fraction(-b, g))
+        neurons.append(_trusted(Neuron, breakline=bl, kink=kink, orientation=o))
     return EffectiveTuple(tuple(neurons), bias)
+
+
+def _trusted(cls, **fields):
+    """A frozen dataclass built from fields valid by construction, with no
+    ``__post_init__``: the checks belong to the input boundary."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def expand(t: EffectiveTuple, scales) -> ShallowNet:

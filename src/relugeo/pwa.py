@@ -299,7 +299,10 @@ def _compile(e):
         *row, c = (c.numerator * (m // c.denominator) for c in coeffs)
         return _affine(tuple(row), c, m)
     if isinstance(e, Relu):
-        child, m, _ = _compile(e.child)
+        child, m, lin = _compile(e.child)
+        if lin is not None:  # one call per point for the usual affine argument
+            row, c = lin
+            return (lambda X, D: max(sum(map(mul, row, X)) + c * D, 0)), m, None
         return (lambda X, D: max(child(X, D), 0)), m, None
     if isinstance(e, (Max, Min)):
         [(left, wl, _), (right, wr, _)], m = _common((e.left, e.right))
@@ -307,10 +310,21 @@ def _compile(e):
         return (lambda X, D: pick(wl * left(X, D), wr * right(X, D))), m, None
     if isinstance(e, Sum):
         parts, m = _common(e.children)
-        if any(lin is None for _, _, lin in parts):
-            return (lambda X, D: sum(w * part(X, D) for part, w, _ in parts)), m, None
-        rows = [[w * a for a in row] for _, w, (row, _) in parts]
-        return _affine(tuple(map(sum, zip(*rows))), sum(w * c for _, w, (_, c) in parts), m)
+        lins = [(w, lin) for _, w, lin in parts if lin is not None]
+        rows = [[w * a for a in row] for w, (row, _) in lins]
+        row, c = tuple(map(sum, zip(*rows))), sum(w * c for w, (_, c) in lins)
+        if len(lins) == len(parts):
+            return _affine(row, c, m)
+        # the affine children fold into one row; the rest add up in a plain loop
+        kinked = [(part, w) for part, w, lin in parts if lin is None]
+
+        def num(X, D):
+            total = sum(map(mul, row, X)) + c * D
+            for part, w in kinked:
+                total += w * part(X, D)
+            return total
+
+        return num, m, None
     if isinstance(e, (Scale, Neg)):
         child, m, lin = _compile(e.child)
         p, q = rat_parts(e.factor) if isinstance(e, Scale) else (-1, 1)
@@ -332,37 +346,58 @@ def _common(children):
     return [(num, m // mc, lin) for num, mc, lin in compiled], m
 
 
-def flat_breaklines(e: PWAExpr) -> list[Breakline]:
-    """Candidate breaklines of a flat expression, deduplicated and primitive.
+def flat_form(e: PWAExpr):
+    """(terms, affine, bias) with e(x) == sum kink * (d . x - q)_+ + affine . x + bias.
 
     Flat means every Relu argument and every Max/Min argument difference is
     affine after distributing Sum/Scale/Neg; otherwise NotFlat is raised and
-    the caller must declare the breaklines explicitly.  Arguments are read
-    off ``_compile``'s integer rows.
+    the caller must declare the breaklines explicitly.  On ``_compile``'s
+    integer row, relu((row . x + c) / m) with (d, g) = primitive_row(row) is
+    kink |g| / m on Breakline(d, -c / g), plus the argument when g < 0, as
+    (-t)_+ = t_+ - t; max(a, b) is b + relu(a - b), min(a, b) a - relu(a - b).
+    ``terms`` maps each breakline, in order of first appearance, to its summed
+    kink, zero included; the affine pieces compile as one Sum.
     """
-    found = {}  # insertion-ordered set
+    terms, pieces = {}, []
 
-    def add(arg, message):
-        lin = _compile(arg)[2]
+    def relu(arg, w, message):
+        _, m, lin = _compile(arg)
         if lin is None:
             raise NotFlat(message)
         row, c = lin
-        if any(row):  # a constant argument has no breakline
-            d, g = primitive_row(row)
-            found[Breakline(d, Fraction(-c, g))] = None
+        if not any(row):  # a constant argument: relu is the argument or 0
+            if c > 0:
+                pieces.append(Scale(w, arg))
+            return
+        d, g = primitive_row(row)
+        bl = Breakline(d, Fraction(-c, g))
+        terms[bl] = terms.get(bl, 0) + w * abs(g) / m
+        if g < 0:
+            pieces.append(Scale(w, arg))
 
-    def walk(node):
+    def walk(node, w):
         if isinstance(node, (Scale, Neg)):
-            walk(node.child)
+            walk(node.child, w * rat(node.factor) if isinstance(node, Scale) else -w)
         elif isinstance(node, Sum):
             for c in node.children:
-                walk(c)
+                walk(c, w)
         elif isinstance(node, Relu):
-            add(node.child, "relu argument is not affine")
+            relu(node.child, w, "relu argument is not affine")
         elif isinstance(node, (Max, Min)):
-            add(Sum((node.left, Neg(node.right))), "max/min argument is not affine")
-        elif not isinstance(node, Affine):
+            sign = 1 if isinstance(node, Max) else -1
+            relu(Sum((node.left, Neg(node.right))), sign * w, "max/min argument is not affine")
+            pieces.append(Scale(w, node.right if sign == 1 else node.left))
+        elif isinstance(node, Affine):
+            pieces.append(Scale(w, node))
+        else:
             raise TypeError(f"not a PWA expression: {node!r}")
 
-    walk(e)
-    return list(found)
+    walk(e, Fraction(1))
+    _, m, (row, c) = _compile(Sum(tuple(pieces)))
+    return terms, tuple(Fraction(a, m) for a in row), Fraction(c, m)
+
+
+def flat_breaklines(e: PWAExpr) -> list[Breakline]:
+    """Candidate breaklines of a flat expression (``flat_form``), deduplicated
+    and primitive, a term whose kinks cancel included."""
+    return list(flat_form(e)[0])

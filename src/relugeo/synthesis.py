@@ -3,16 +3,14 @@
 Under the transversality condition (breaklines through any common point have
 linearly independent normals) the gradient jump across a breakline, at any
 point of it off the other breaklines, is kink * normal of the one term on
-that breakline.  So synthesis reads each kink off f, fits the remainder,
-verifies: f minus the response of the neurons found is affine and costs at
-most two further neurons, a cancelling pair (``affine_pair``), for a total of
-at most n+2.  The gradient on either side of a breakline is recovered by exact
-affine interpolation on small simplices, so any exact evaluator works, not
-just parsed expressions.  The remainder check and the final verification are
-one test, f == response, on sampled points.  It compares integer numerators:
-each point is drawn as X / D, the response and a compiled f are evaluated
-through their ``kernel`` (``exact.compiled``) with no Fraction per point, and
-a black-box f is lifted to the numerator f(X / D) * D.
+that breakline, and what is left is affine: a cancelling pair of neurons
+(``affine_pair``), for at most n+2 in all.  A flat expression whose kinked
+terms all lie on declared breaklines is read off in closed form
+(``pwa.flat_form``).  Any other exact evaluator is measured: each kink by
+exact affine interpolation on small simplices either side of its breakline,
+then the remainder by one fit, then f == response on sampled points X / D
+through integer numerators (a compiled f's ``kernel``; a black box is lifted
+to f(X / D) * D).
 """
 
 from __future__ import annotations
@@ -23,15 +21,10 @@ from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb, lcm
 
-from .errors import (
-    CapExceeded,
-    NotLocallyAffine,
-    NotRepresentable,
-    NotTransversal,
-)
+from .errors import CapExceeded, NotFlat, NotLocallyAffine, NotRepresentable, NotTransversal
 from .exact import dot, is_zero, primitive_direction, rat, solve_affine, vec, vsub
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
-from .pwa import PWASpec, evaluator, expr_dim
+from .pwa import PWASpec, evaluator, expr_dim, flat_form
 
 # Most breaklines check_transversality takes, before any work is counted.
 _MAX_BREAKLINES = 20
@@ -193,10 +186,8 @@ def synthesize_evaluator(
     still rejects anything that is not a response.
     """
     breaklines = list(breaklines)
-    if check:
-        violation = check_transversality(breaklines)
-        if violation is not None:
-            raise NotTransversal(violation)
+    if check and (violation := check_transversality(breaklines)) is not None:
+        raise NotTransversal(violation)
 
     # every probe of jump_vector stays on x's side of the other breaklines,
     # so the jump is f's own: no term found so far needs subtracting
@@ -245,8 +236,37 @@ def synthesize_evaluator(
     return result
 
 
+def _read_off(expr, breaklines, d0):
+    """The network of a flat expression whose kinked term breaklines are all
+    declared, read off ``flat_form``, else None.  On transversal breaklines
+    each jump the measuring path finds is kink * direction and its remainder
+    is the affine part, so the result is the same."""
+    try:
+        terms, affine, bias = flat_form(expr)
+    except NotFlat:
+        return None
+    declared = set(breaklines)
+    if not {bl for bl, k in terms.items() if k} <= declared or any(bl.d0 != d0 for bl in declared):
+        return None
+    neurons = [Neuron(bl, terms[bl], 1) for bl in breaklines if terms.get(bl)]
+    pair = affine_pair(affine, 0)[:2] if any(affine) else ()  # on {d.x = 0}: no shift
+    return EffectiveTuple((*neurons, *pair), bias)
+
+
 def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int = 1000):
-    """Synthesize a network for a parsed piecewise-affine specification."""
+    """Synthesize a network for a parsed piecewise-affine specification.
+
+    A flat spec whose transversal breaklines include every kinked term is
+    read off in closed form (``_read_off``).  Every other spec, and every
+    spec with ``check=False``, is measured by ``synthesize_evaluator``, the
+    only path that ``n_verify`` applies to.
+    """
     d0 = expr_dim(spec.expr)
     f = evaluator(spec.expr)
-    return synthesize_evaluator(f, spec.breaklines, d0, seed, check, n_verify)
+    breaklines = list(spec.breaklines)
+    if check:
+        if (violation := check_transversality(breaklines)) is not None:
+            raise NotTransversal(violation)
+        if (result := _read_off(spec.expr, breaklines, d0)) is not None:
+            return result
+    return synthesize_evaluator(f, breaklines, d0, seed, False, n_verify)

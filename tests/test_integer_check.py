@@ -3,9 +3,10 @@
 ``synthesize_evaluator`` compares f with the synthesized response on seeded
 points through the integer numerators of both (``exact.compiled`` leaves
 them on every compiled evaluator as ``kernel``; a black-box f is lifted to
-f(x) * D).  ``reference_synthesize_evaluator`` is the same peeling followed by
-the point-by-point ``Fraction`` comparison.  Both must return the same tuple
-or raise the same exception with the same message, point included.
+f(x) * D).  ``reference_synthesize_evaluator`` finds the same kinks, by the
+older peeling of a residual, then compares point by point in ``Fraction``.
+Both must return the same tuple or raise the same exception with the same
+message, point included.
 
 The integer check rests on every compiled numerator being positively
 homogeneous in (X, D); the homogeneity tests pin that for expressions,

@@ -1,4 +1,4 @@
-"""Transversality checking and the peeling synthesis procedure."""
+"""Transversality checking and the synthesis procedure."""
 
 from fractions import Fraction
 
