@@ -291,7 +291,8 @@ def _compile(e):
     ``lin`` is the integer pair (row, c) with num(X, D) == row . X + c * D when
     the subtree is affine, else None.  Built bottom up: an Affine leaf is one
     row over the lcm of its denominators, Scale and Neg multiply their child's
-    pair and a Sum of affine children adds their rows at the common m.
+    pair and a Sum adds its affine children's rows at the common m, then its
+    other children one by one.
     """
     if isinstance(e, Affine):
         coeffs = (*vec(e.coeffs), rat(e.const))
@@ -346,8 +347,9 @@ def _common(children):
     return [(num, m // mc, lin) for num, mc, lin in compiled], m
 
 
-def flat_form(e: PWAExpr):
-    """(terms, affine, bias) with e(x) == sum kink * (d . x - q)_+ + affine . x + bias.
+def _flat_terms(e: PWAExpr):
+    """(terms, pieces): e is the sum of kink * (d . x - q)_+ over ``terms``
+    plus the affine ``pieces``.
 
     Flat means every Relu argument and every Max/Min argument difference is
     affine after distributing Sum/Scale/Neg; otherwise NotFlat is raised and
@@ -356,7 +358,7 @@ def flat_form(e: PWAExpr):
     kink |g| / m on Breakline(d, -c / g), plus the argument when g < 0, as
     (-t)_+ = t_+ - t; max(a, b) is b + relu(a - b), min(a, b) a - relu(a - b).
     ``terms`` maps each breakline, in order of first appearance, to its summed
-    kink, zero included; the affine pieces compile as one Sum.
+    kink, zero included.
     """
     terms, pieces = {}, []
 
@@ -393,11 +395,18 @@ def flat_form(e: PWAExpr):
             raise TypeError(f"not a PWA expression: {node!r}")
 
     walk(e, Fraction(1))
+    return terms, pieces
+
+
+def flat_form(e: PWAExpr):
+    """(terms, affine, bias) of a flat expression (``_flat_terms``), with
+    e(x) == sum kink * (d . x - q)_+ + affine . x + bias."""
+    terms, pieces = _flat_terms(e)
     _, m, (row, c) = _compile(Sum(tuple(pieces)))
+    row = row or (0,) * expr_dim(e)  # no affine pieces at all
     return terms, tuple(Fraction(a, m) for a in row), Fraction(c, m)
 
 
 def flat_breaklines(e: PWAExpr) -> list[Breakline]:
-    """Candidate breaklines of a flat expression (``flat_form``), deduplicated
-    and primitive, a term whose kinks cancel included."""
-    return list(flat_form(e)[0])
+    """Candidate breaklines of a flat expression (``_flat_terms``), zero-kink ones included."""
+    return list(_flat_terms(e)[0])

@@ -262,11 +262,10 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int =
     only path that ``n_verify`` applies to.
     """
     d0 = expr_dim(spec.expr)
-    f = evaluator(spec.expr)
     breaklines = list(spec.breaklines)
     if check:
         if (violation := check_transversality(breaklines)) is not None:
             raise NotTransversal(violation)
         if (result := _read_off(spec.expr, breaklines, d0)) is not None:
             return result
-    return synthesize_evaluator(f, breaklines, d0, seed, False, n_verify)
+    return synthesize_evaluator(evaluator(spec.expr), breaklines, d0, seed, False, n_verify)

@@ -1,23 +1,14 @@
-"""Shared builders for random test data, all deterministic in an explicit rng.
+"""Shared builders for random test data, all deterministic in an explicit rng."""
 
-``HYPOTHESIS_PROFILE=ci`` selects a profile that prints a ``@reproduce_failure``
-blob for every falsifying example; per-test settings stay as each test sets them.
-"""
-
-import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
 
 from relugeo.canonical import CanonicalForm
 from relugeo.exact import primitive_direction
 from relugeo.network import Breakline, EffectiveTuple, Neuron
 from relugeo.synthesis import check_transversality
-
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def T(neurons, bias=0):

@@ -156,3 +156,9 @@ def test_negative_row_adds_its_argument():
 
 def test_constant_argument_goes_to_the_bias():
     assert flat_form(parse_pwa("relu(affine([0],3)) + relu(affine([0],-3))")) == ({}, (0,), 3)
+
+
+def test_relus_alone_leave_a_zero_affine_part_of_full_length():
+    terms, affine, bias = flat_form(parse_pwa("relu(affine([1,0],0)) + relu(affine([0,0],-1))"))
+    assert terms == {Breakline((1, 0), 0): 1}
+    assert (affine, bias) == ((0, 0), 0)
