@@ -3,12 +3,15 @@
 Subcommands operate on JSON files and print machine-readable JSON (or a bare
 rational for ``eval``).  Exit codes: 0 success, 1 semantic negative (functions
 differ / not representable / transversality violated, with a diagnostic JSON
-on stdout), 2 usage or parse error.
+on stdout), 2 usage or parse error.  `_COMMANDS` declares every subcommand
+once, and one parser, built from it on first use, serves every `run` call in
+a process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import jsonio
@@ -35,7 +38,7 @@ _MAX_RANDOM_WEIGHTS = 100_000
 _MAX_RANDOM_ATTEMPTS = 20
 
 
-def _parse_r_list(text):
+def _parse_rationals(text):
     return tuple(rat(part) for part in text.split(","))
 
 
@@ -47,14 +50,14 @@ def _cmd_canon(args):
 
 def _cmd_classify(args):
     cf = _as_form(jsonio.load(args.file))
-    report = classify(cf, cap=args.cap, r_samples=_parse_r_list(args.r))
+    report = classify(cf, cap=args.cap, r_samples=_parse_rationals(args.r))
     print(jsonio.dumps(jsonio.report_to_dict(report)))
     return 0
 
 
 def _cmd_enum(args):
     cf = _as_form(jsonio.load(args.file))
-    families = enumerate_minimal(cf, r_samples=_parse_r_list(args.r), cap=args.cap)
+    families = enumerate_minimal(cf, r_samples=_parse_rationals(args.r), cap=args.cap)
     print(jsonio.dumps({"families": [jsonio.family_to_dict(f) for f in families]}))
     return 0
 
@@ -87,7 +90,7 @@ def _cmd_synth(args):
 
 def _cmd_eval(args):
     obj = jsonio.load(args.file)
-    x = tuple(rat(part) for part in args.x.split(","))
+    x = _parse_rationals(args.x)
     if isinstance(obj, ShallowNet):
         value = evaluate_net(obj, x)
     elif isinstance(obj, EffectiveTuple):
@@ -101,17 +104,16 @@ def _cmd_eval(args):
 
 
 def _cmd_random(args):
-    if args.d0 * args.d1 > _MAX_RANDOM_WEIGHTS:
+    # random_net rejects sizes below 1; the weight cap applies to the rest
+    if min(args.d0, args.d1) >= 1 and args.d0 * args.d1 > _MAX_RANDOM_WEIGHTS:
         raise ValueError(f"d0 * d1 = {args.d0 * args.d1} exceeds {_MAX_RANDOM_WEIGHTS} weights")
-    seed = args.seed
-    for _ in range(_MAX_RANDOM_ATTEMPTS):
-        net = random_net(args.d0, args.d1, seed, args.bound)
+    for attempt in range(_MAX_RANDOM_ATTEMPTS):  # deterministic retry schedule
+        net = random_net(args.d0, args.d1, args.seed + attempt * 1000003, args.bound)
         if not args.transversal:
             break
         breaklines = [nr.breakline for nr in effective_tuple(net).neurons]
         if len(set(breaklines)) == len(breaklines) and check_transversality(breaklines) is None:
             break
-        seed += 1000003  # deterministic retry schedule
     else:
         raise ValueError(f"no transversal net found in {_MAX_RANDOM_ATTEMPTS} attempts")
     print(jsonio.dumps(jsonio.net_to_dict(net)))
@@ -125,53 +127,45 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n{self.format_usage()}")
 
 
+def _arg(*names, **options):
+    return names, options
+
+
+# Every argument, declared once; file, --cap, --r and --seed are shared.
+_FILE = _arg("file")
+_CAP = _arg("--cap", type=int, default=DEFAULT_CAP)
+_R = _arg("--r", default="0", help="comma-separated offsets for infinite families")
+_SEED = _arg("--seed", type=int, default=0)
+_UNCHECKED = _arg("--unchecked", action="store_true", help="skip the transversality check")
+_X = _arg("--x", required=True, help='comma-separated rationals, e.g. "1/2,3"')
+_D0 = _arg("--d0", type=int, required=True)
+_D1 = _arg("--d1", type=int, required=True)
+_BOUND = _arg("--bound", type=int, default=8)
+_TRANSVERSAL = _arg("--transversal", action="store_true", help="retry until transversal")
+
+# One row per subcommand: its handler `_cmd_<name>`, help text and arguments
+# in help order.
+_COMMANDS = (
+    (_cmd_canon, "canonical form of a network or tuple", [_FILE]),
+    (_cmd_classify, "minimal width, case and manifold statistics", [_FILE, _CAP, _R]),
+    (_cmd_enum, "enumerate all minimal representations", [_FILE, _CAP, _R]),
+    (_cmd_equiv, "decide functional equivalence of two inputs", [_arg("left"), _arg("right")]),
+    (_cmd_synth, "synthesize a network from a piecewise-affine spec", [_FILE, _SEED, _UNCHECKED]),
+    (_cmd_eval, "evaluate an input at a point", [_FILE, _X]),
+    (_cmd_random, "seed-deterministic random network", [_D0, _D1, _SEED, _BOUND, _TRANSVERSAL]),
+)
+
+
+@functools.cache
 def build_parser():
-    parser = _Parser(
-        prog="relugeo",
-        description="Exact geometry of shallow ReLU networks",
-    )
+    """The parser of this process, built from `_COMMANDS` on first use."""
+    parser = _Parser(prog="relugeo", description="Exact geometry of shallow ReLU networks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("canon", help="canonical form of a network or tuple")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("classify", help="minimal width, case and manifold statistics")
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--r", default="0", help="comma-separated offsets for infinite families")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("enum", help="enumerate all minimal representations")
-    p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--r", default="0", help="comma-separated offsets for infinite families")
-    p.set_defaults(func=_cmd_enum)
-
-    p = sub.add_parser("equiv", help="decide functional equivalence of two inputs")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("synth", help="synthesize a network from a piecewise-affine spec")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--unchecked", action="store_true", help="skip the transversality check")
-    p.set_defaults(func=_cmd_synth)
-
-    p = sub.add_parser("eval", help="evaluate an input at a point")
-    p.add_argument("file")
-    p.add_argument("--x", required=True, help='comma-separated rationals, e.g. "1/2,3"')
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("random", help="seed-deterministic random network")
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--transversal", action="store_true", help="retry until transversal")
-    p.set_defaults(func=_cmd_random)
-
+    for func, help_text, arguments in _COMMANDS:
+        p = sub.add_parser(func.__name__.removeprefix("_cmd_"), help=help_text)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
+        p.set_defaults(func=func)
     return parser
 
 

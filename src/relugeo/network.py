@@ -306,6 +306,8 @@ def random_net(d0: int, d1: int, seed: int, coeff_bound: int = 8) -> ShallowNet:
     """Seed-deterministic random non-degenerate network with bounded entries."""
     if d0 < 1 or d1 < 1:
         raise DimensionMismatch("d0 and d1 must be at least 1")
+    if coeff_bound < 1:
+        raise ValueError("coefficient bound must be at least 1")
     rng = random.Random(seed)
 
     def coeff():
