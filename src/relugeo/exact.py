@@ -10,7 +10,8 @@ square roots.  ``primitive_row`` reads a direction and its orientation off an
 integer row.  ``compiled`` is the one wrapper that turns a function compiled
 to integers on a point's common denominator (``scaled_point``) into an exact
 evaluator that checks the point's length, and leaves the integer function on
-the evaluator as its ``kernel``.
+the evaluator as its ``kernel``; ``relu_sum`` is the one such function for
+expressions, tuples, forms and nets.
 
 There is one elimination routine, ``solve_affine`` (Gauss-Jordan over
 ``Fraction``); ``rank`` and ``in_span`` read their answers off its particular
@@ -22,6 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, ZeroVector
 
@@ -147,6 +149,22 @@ def compiled(num, m, d0, what):
 
     evaluate.kernel = num, m
     return evaluate
+
+
+def relu_sum(row, c, relus):
+    """(X, D) -> row . X + c * D + sum k * (r . X + s * D)_+ over the integer
+    triples (r, s, k) in ``relus``: the one numerator of expressions
+    (``pwa._compile``) and of tuples, forms and nets (``response_kernel``)."""
+
+    def num(X, D) -> int:
+        total = sum(map(mul, row, X)) + c * D
+        for r, s, k in relus:
+            pre = sum(map(mul, r, X)) + s * D
+            if pre > 0:
+                total += k * pre
+        return total
+
+    return num
 
 
 def primitive_row(w) -> tuple[tuple[int, ...], int]:

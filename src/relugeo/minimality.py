@@ -67,6 +67,8 @@ class MinimalityReport:
 
 
 def _check_cap(n, cap):
+    if cap < 0:
+        raise ValueError(f"the enumeration cap must be at least 0, got {cap}")
     if n > cap:
         raise EnumerationCapExceeded(n, cap)
 
@@ -164,10 +166,11 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
     (m,) and (m, m'): which patterns put a_sigma in their span, and which
     terms on those directions can be split.  The first case with a family
     wins.  The extra-breakline families of case III are infinite (one tuple
-    per offset); they are instantiated at the caller-supplied ``r_samples``.
+    per offset); they are instantiated at the caller-supplied ``r_samples``,
+    each distinct offset once, in order of first appearance.
     """
     _check_cap(cf.n, cap)
-    r_values = tuple(rat(r) for r in r_samples)
+    r_values = tuple(dict.fromkeys(rat(r) for r in r_samples))
     if cf.is_affine() and is_zero(cf.affine):
         return []
 

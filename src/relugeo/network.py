@@ -17,7 +17,8 @@ rows in integers, so canonical forms, equivalence and evaluation of raw
 networks do no per-entry Fraction arithmetic.
 
 Tuples, raw networks and canonical forms evaluate through one compiled
-response, ``response_kernel``, wrapped by ``exact.compiled``.  An affine part
+response, ``response_kernel``, wrapped by ``exact.compiled``; its numerator
+is ``exact.relu_sum``, the one that expressions use too.  An affine part
 costs a cancelling pair of neurons on a fresh breakline; ``affine_pair``
 builds it for ``affine_family``, the extra-breakline families and synthesis.
 """
@@ -28,10 +29,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale
-from .exact import compiled, dot, is_zero, primitive_direction, primitive_row, rat, rat_parts, vec
+from .exact import compiled, dot, is_zero, primitive_direction, primitive_row, rat, rat_parts
+from .exact import relu_sum, vec
 
 
 @dataclass(frozen=True, order=True)
@@ -173,40 +174,22 @@ def response_kernel(neurons, affine, bias):
     denominator m fixed here the response is
     (B D + A . X + sum_j K_j (row_j . X + c_j D)_+) / (m D) with the integer
     row o_j s_j d_j, the integer c_j = -o_j r_j, K_j = m kink_j / s_j,
-    A = m affine and B = m bias, so each call does integer arithmetic only.
+    A = m affine and B = m bias: the numerator ``exact.relu_sum``.
     """
-    neurons = [(nr.breakline, nr.kink, nr.orientation) for nr in neurons]
+    neurons = [
+        (nr.breakline.direction, nr.breakline.offset, nr.kink, nr.orientation) for nr in neurons
+    ]
     m = lcm(
         bias.denominator,
         *(a.denominator for a in affine),
-        *(bl.offset.denominator * k.denominator for bl, k, _ in neurons),
+        *(q.denominator * k.denominator for _, q, k, _ in neurons),
     )
-    scaled_bias = bias.numerator * (m // bias.denominator)
-    scaled_affine = tuple(a.numerator * (m // a.denominator) for a in affine)
-    if not any(scaled_affine):
-        scaled_affine = None
-    rows = []
-    for bl, k, o in neurons:
-        q = bl.offset
-        rows.append(
-            (
-                tuple(o * q.denominator * e for e in bl.direction),
-                -o * q.numerator,
-                int(k * (m // q.denominator)),
-            )
-        )
-
-    def num(X, D) -> int:
-        total = scaled_bias * D
-        if scaled_affine:
-            total += sum(map(mul, scaled_affine, X))
-        for row, c, k in rows:
-            pre = sum(map(mul, row, X)) + c * D
-            if pre > 0:
-                total += k * pre
-        return total
-
-    return num, m
+    relus = [
+        (tuple(o * q.denominator * e for e in d), -o * q.numerator, int(k * (m // q.denominator)))
+        for d, q, k, o in neurons
+    ]
+    A = tuple(a.numerator * (m // a.denominator) for a in affine)
+    return relu_sum(A, bias.numerator * (m // bias.denominator), relus), m
 
 
 def tuple_evaluator(t: EffectiveTuple):

@@ -16,6 +16,10 @@ Unary minus binds tighter than '*', which binds tighter than '+'.  At most one
 factor of a product may be a function; the rest must be scalar literals.
 Factors nest at most ``_MAX_DEPTH`` deep, each parenthesis, call or unary
 minus adding a level, which bounds every recursive walk over a parsed tree.
+
+One compile, ``_compile``, evaluates an expression and finds its flat form:
+each flat subtree is one triple for ``exact.relu_sum``, the numerator of
+expressions, tuples, forms and nets alike, and ``flat_form`` reads it off.
 """
 
 from __future__ import annotations
@@ -24,10 +28,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import compiled, primitive_row, rat, rat_parts, rat_str, vec
+from .exact import compiled, primitive_row, rat, rat_parts, rat_str, relu_sum, vec
 from .network import Breakline
 
 
@@ -273,9 +276,9 @@ def evaluator(e: PWAExpr):
     Every node is positively homogeneous in (x, 1), and max, min and relu
     commute with positive scaling.  So with x = X / D (``scaled_point``) each
     node's value is N / (m * D), where the integer N depends on X and D only
-    and the denominator m > 0 is fixed here (``_compile``).  Leaves of
-    different dimensions raise DimensionMismatch here, a point of the wrong
-    length raises it on each call.
+    and the denominator m > 0 is fixed here (``_compile``, ``exact.relu_sum``).
+    Leaves of different dimensions raise DimensionMismatch here, a point of
+    the wrong length raises it on each call.
     """
     num, m, _ = _compile(e)
     return compiled(num, m, expr_dim(e), "leaf")
@@ -286,127 +289,105 @@ def eval_pwa(e: PWAExpr, x) -> Fraction:
 
 
 def _compile(e):
-    """(num, m, lin) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0.
+    """(num, m, flat) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0.
 
-    ``lin`` is the integer pair (row, c) with num(X, D) == row . X + c * D when
-    the subtree is affine, else None.  Built bottom up: an Affine leaf is one
-    row over the lcm of its denominators, Scale and Neg multiply their child's
-    pair and a Sum adds its affine children's rows at the common m, then its
-    other children one by one.
+    ``flat`` is the integer triple (row, c, relus) with num == relu_sum(row,
+    c, relus) when every Relu and Max/Min argument in the subtree is affine,
+    else the NotFlat message of the first that is not.  Built bottom up: an
+    Affine leaf is one row over the lcm of its denominators and no relus,
+    relu(a) one relu on a zero row, max(a, b) b + relu(a - b) and min(a, b)
+    a - relu(a - b); Scale and Neg multiply row, c and each k, and a Sum adds
+    its flat children's triples at the common m, then its other children.
     """
     if isinstance(e, Affine):
         coeffs = (*vec(e.coeffs), rat(e.const))
         m = lcm(*(c.denominator for c in coeffs))
         *row, c = (c.numerator * (m // c.denominator) for c in coeffs)
-        return _affine(tuple(row), c, m)
+        return _flat((tuple(row), c, ()), m)
     if isinstance(e, Relu):
-        child, m, lin = _compile(e.child)
-        if lin is not None:  # one call per point for the usual affine argument
-            row, c = lin
-            return (lambda X, D: max(sum(map(mul, row, X)) + c * D, 0)), m, None
-        return (lambda X, D: max(child(X, D), 0)), m, None
+        child, m, flat = _compile(e.child)
+        if _affine(flat):
+            return _flat(((0,) * len(flat[0]), 0, ((*flat[:2], 1),)), m)
+        return (lambda X, D: max(child(X, D), 0)), m, "relu argument is not affine"
     if isinstance(e, (Max, Min)):
-        [(left, wl, _), (right, wr, _)], m = _common((e.left, e.right))
+        [(left, wl, fl), (right, wr, fr)], m = _common((e.left, e.right))
+        if _affine(fl) and _affine(fr):
+            (a, ca, _), (b, cb, _) = _scaled(fl, wl), _scaled(fr, wr)
+            diff = tuple(x - y for x, y in zip(a, b)), ca - cb
+            flat = (b, cb, ((*diff, 1),)) if isinstance(e, Max) else (a, ca, ((*diff, -1),))
+            return _flat(flat, m)
         pick = max if isinstance(e, Max) else min
-        return (lambda X, D: pick(wl * left(X, D), wr * right(X, D))), m, None
+        num = lambda X, D: pick(wl * left(X, D), wr * right(X, D))
+        return num, m, "max/min argument is not affine"
     if isinstance(e, Sum):
         parts, m = _common(e.children)
-        lins = [(w, lin) for _, w, lin in parts if lin is not None]
-        rows = [[w * a for a in row] for w, (row, _) in lins]
-        row, c = tuple(map(sum, zip(*rows))), sum(w * c for w, (_, c) in lins)
-        if len(lins) == len(parts):
-            return _affine(row, c, m)
-        # the affine children fold into one row; the rest add up in a plain loop
-        kinked = [(part, w) for part, w, lin in parts if lin is None]
-
-        def num(X, D):
-            total = sum(map(mul, row, X)) + c * D
-            for part, w in kinked:
-                total += w * part(X, D)
-            return total
-
-        return num, m, None
+        flats = [_scaled(flat, w) for _, w, flat in parts if not isinstance(flat, str)]
+        rows, cs, relus = zip(*flats) if flats else ((), (), ())
+        flat = tuple(map(sum, zip(*rows))), sum(cs), sum(relus, ())
+        kinked = [(part, w, flat) for part, w, flat in parts if isinstance(flat, str)]
+        if not kinked:
+            return _flat(flat, m)
+        flat_num = relu_sum(*flat)  # the flat children in one loop, the rest one by one
+        num = lambda X, D: flat_num(X, D) + sum(w * part(X, D) for part, w, _ in kinked)
+        return num, m, kinked[0][2]
     if isinstance(e, (Scale, Neg)):
-        child, m, lin = _compile(e.child)
+        child, m, flat = _compile(e.child)
         p, q = rat_parts(e.factor) if isinstance(e, Scale) else (-1, 1)
-        if lin is None:
-            return (lambda X, D: p * child(X, D)), m * q, None
-        return _affine(tuple(p * a for a in lin[0]), p * lin[1], m * q)
+        if isinstance(flat, str):
+            return (lambda X, D: p * child(X, D)), m * q, flat
+        return _flat(_scaled(flat, p), m * q)
     raise TypeError(f"not a PWA expression: {e!r}")
 
 
-def _affine(row, c, m):
-    """The (num, m, lin) triple of the affine numerator row . X + c * D."""
-    return (lambda X, D: sum(map(mul, row, X)) + c * D), m, (row, c)
+def _flat(flat, m):
+    """The (num, m, flat) result of a flat subtree."""
+    return relu_sum(*flat), m, flat
+
+
+def _affine(flat):
+    """Whether ``flat`` is a triple with no relus: the subtree is affine."""
+    return not isinstance(flat, str) and not flat[2]
+
+
+def _scaled(flat, w):
+    """The triple of w times a flat subtree."""
+    row, c, relus = flat
+    return tuple(w * a for a in row), w * c, tuple((r, s, w * k) for r, s, k in relus)
 
 
 def _common(children):
-    """[(num, weight, lin) per child] and their common denominator m."""
+    """[(num, weight, flat) per child] and their common denominator m."""
     compiled = [_compile(c) for c in children]
     m = lcm(*(mc for _, mc, _ in compiled))
-    return [(num, m // mc, lin) for num, mc, lin in compiled], m
-
-
-def _flat_terms(e: PWAExpr):
-    """(terms, pieces): e is the sum of kink * (d . x - q)_+ over ``terms``
-    plus the affine ``pieces``.
-
-    Flat means every Relu argument and every Max/Min argument difference is
-    affine after distributing Sum/Scale/Neg; otherwise NotFlat is raised and
-    the caller must declare the breaklines explicitly.  On ``_compile``'s
-    integer row, relu((row . x + c) / m) with (d, g) = primitive_row(row) is
-    kink |g| / m on Breakline(d, -c / g), plus the argument when g < 0, as
-    (-t)_+ = t_+ - t; max(a, b) is b + relu(a - b), min(a, b) a - relu(a - b).
-    ``terms`` maps each breakline, in order of first appearance, to its summed
-    kink, zero included.
-    """
-    terms, pieces = {}, []
-
-    def relu(arg, w, message):
-        _, m, lin = _compile(arg)
-        if lin is None:
-            raise NotFlat(message)
-        row, c = lin
-        if not any(row):  # a constant argument: relu is the argument or 0
-            if c > 0:
-                pieces.append(Scale(w, arg))
-            return
-        d, g = primitive_row(row)
-        bl = Breakline(d, Fraction(-c, g))
-        terms[bl] = terms.get(bl, 0) + w * abs(g) / m
-        if g < 0:
-            pieces.append(Scale(w, arg))
-
-    def walk(node, w):
-        if isinstance(node, (Scale, Neg)):
-            walk(node.child, w * rat(node.factor) if isinstance(node, Scale) else -w)
-        elif isinstance(node, Sum):
-            for c in node.children:
-                walk(c, w)
-        elif isinstance(node, Relu):
-            relu(node.child, w, "relu argument is not affine")
-        elif isinstance(node, (Max, Min)):
-            sign = 1 if isinstance(node, Max) else -1
-            relu(Sum((node.left, Neg(node.right))), sign * w, "max/min argument is not affine")
-            pieces.append(Scale(w, node.right if sign == 1 else node.left))
-        elif isinstance(node, Affine):
-            pieces.append(Scale(w, node))
-        else:
-            raise TypeError(f"not a PWA expression: {node!r}")
-
-    walk(e, Fraction(1))
-    return terms, pieces
+    return [(num, m // mc, flat) for num, mc, flat in compiled], m
 
 
 def flat_form(e: PWAExpr):
-    """(terms, affine, bias) of a flat expression (``_flat_terms``), with
-    e(x) == sum kink * (d . x - q)_+ + affine . x + bias."""
-    terms, pieces = _flat_terms(e)
-    _, m, (row, c) = _compile(Sum(tuple(pieces)))
-    row = row or (0,) * expr_dim(e)  # no affine pieces at all
+    """(terms, affine, bias) with e(x) == sum kink * (d . x - q)_+ + affine . x + bias.
+
+    A non-flat expression (``_compile``) raises NotFlat: its breaklines must
+    be declared.  Relu k * (r . X + s * D)_+ of the compiled triple, with
+    (d, g) = primitive_row(r), is kink k |g| / m on Breakline(d, -s / g), plus
+    its argument when g < 0, as (-t)_+ = t_+ - t.  ``terms`` maps each
+    breakline, in order of first appearance, to its summed kink, zero included.
+    """
+    _, m, flat = _compile(e)
+    if isinstance(flat, str):
+        raise NotFlat(flat)
+    row, c, relus = flat
+    terms = {}
+    for r, s, k in relus:
+        if not any(r):  # a constant argument: relu is the argument or 0
+            c += k * max(s, 0)
+            continue
+        d, g = primitive_row(r)
+        bl = Breakline(d, Fraction(-s, g))
+        terms[bl] = terms.get(bl, 0) + Fraction(k * abs(g), m)
+        if g < 0:
+            row, c = tuple(a + k * b for a, b in zip(row, r)), c + k * s
     return terms, tuple(Fraction(a, m) for a in row), Fraction(c, m)
 
 
 def flat_breaklines(e: PWAExpr) -> list[Breakline]:
-    """Candidate breaklines of a flat expression (``_flat_terms``), zero-kink ones included."""
-    return list(_flat_terms(e)[0])
+    """Candidate breaklines of a flat expression (``flat_form``), zero-kink ones included."""
+    return list(flat_form(e)[0])
