@@ -25,6 +25,7 @@ from .network import (
     EffectiveTuple,
     Neuron,
     ShallowNet,
+    _trusted,
     effective_tuple,
     response_kernel,
 )
@@ -104,7 +105,9 @@ def canonicalize(t: EffectiveTuple, d0: int | None = None) -> CanonicalForm:
     terms = tuple(
         (bl, k) for bl, k in sorted(kinks, key=lambda it: (it[0].direction, it[0].offset)) if k
     )
-    return CanonicalForm(terms, tuple(-a for a in kd), t.out_bias + kq, d0)
+    fields = (terms, tuple(-a for a in kd), t.out_bias + kq, d0)
+    # with neurons, d0 is theirs and every field is valid by construction
+    return _trusted(CanonicalForm, *fields) if t.neurons else CanonicalForm(*fields)
 
 
 def _kink_sums(pairs, d0) -> tuple[tuple[Fraction, ...], Fraction]:

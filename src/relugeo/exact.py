@@ -36,35 +36,48 @@ _MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
-# Integer and "p/q" literals, ASCII only: every supported Python's Fraction
-# parses these the same way, so int() and one gcd give the same value.
-_PLAIN = re.compile(r"\s*([-+]?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+# Integer and "p/q" literals with a nonzero denominator, ASCII, no whitespace:
+# every supported Python's Fraction reads them as int() does.
+_PLAIN = r"[-+]?[0-9]+(?:/0*[1-9][0-9]*)?"
+_PLAIN_ROW = re.compile(rf"{_PLAIN}(?:,{_PLAIN})*", re.ASCII)
+
+
+def row_parts(values) -> list[tuple[int, int]]:
+    """``rat_parts`` of each entry of a row, with its errors, up to reduction.
+
+    A row of plain literals is matched once, joined by ",", and read by ``int``
+    unreduced; any other row (non-strings, whitespace, decimals, "," in an
+    entry, zero denominators, too many digits) goes entry by entry.
+    """
+    values = list(values)
+    try:
+        text = ",".join(values)
+        if len(literals := text.split(",")) == len(values) and _PLAIN_ROW.fullmatch(text):
+            parts = []  # a plain loop: faster here than a comprehension over partition
+            for literal in literals:
+                num, _, den = literal.partition("/")
+                parts.append((int(num), int(den) if den else 1))
+            return parts
+    except (TypeError, ValueError):  # a non-string entry; more digits than int() allows
+        pass
+    return [_entry_parts(v) for v in values]
 
 
 def rat_parts(value) -> tuple[int, int]:
-    """Parse a rational literal to (numerator, denominator) in lowest terms.
+    """(numerator, denominator > 0) in lowest terms of a literal ``rat`` accepts,
+    with its errors; a string is parsed as ``row_parts`` of a one-entry row."""
+    if not isinstance(value, str):
+        return _entry_parts(value)
+    num, den = row_parts((value,))[0]
+    g = gcd(num, den)
+    return num // g, den // g
 
-    Accepts exactly what ``rat`` accepts, with the same errors: "p/q", "p",
-    decimal strings, ints and Fractions.  The denominator is positive.
-    Integer and "p/q" strings take a fast path through ``int``; every other
-    string is parsed by ``Fraction``.  A zero denominator or a decimal
-    exponent beyond ``_MAX_EXPONENT`` in absolute value raises ValueError,
-    like any other malformed literal.
-    """
+
+def _entry_parts(value) -> tuple[int, int]:
+    """Parts in lowest terms of any literal ``rat`` accepts, through ``Fraction``:
+    a zero denominator or an exponent above ``_MAX_EXPONENT`` raises ValueError."""
     # str first: isinstance against Fraction, an ABC, is slow for other types
     if isinstance(value, str):
-        plain = _PLAIN.fullmatch(value)
-        if plain:
-            num, den = plain.groups()
-            try:
-                num = int(num)
-                den = int(den) if den else 1
-            except ValueError:
-                pass  # more digits than int() allows: Fraction says so below
-            else:
-                if den:
-                    g = gcd(num, den)
-                    return num // g, den // g
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT}")
@@ -154,7 +167,7 @@ def compiled(num, m, d0, what):
 def relu_sum(row, c, relus):
     """(X, D) -> row . X + c * D + sum k * (r . X + s * D)_+ over the integer
     triples (r, s, k) in ``relus``: the one numerator of expressions
-    (``pwa._compile``) and of tuples, forms and nets (``response_kernel``)."""
+    (``pwa._compile``) and of tuples, forms and nets (``network._relu_kernel``)."""
 
     def num(X, D) -> int:
         total = sum(map(mul, row, X)) + c * D

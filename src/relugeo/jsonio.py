@@ -1,8 +1,8 @@
 """JSON interchange for every serializable object in the package.
 
-Rationals always serialize as strings ("p/q" or "p"); decimal strings are
-accepted on input and converted exactly, and so are raw JSON integers; the
-integer fields (d0, d1, orient, directions) take non-bool JSON integers only.
+Rationals serialize as "p/q" or "p"; decimal strings and JSON integers are
+read exactly.  Integer fields (d0, d1, orient, directions) take non-bool JSON
+integers, and vectors and matrices (W1 and its rows, b1, W2, affine) arrays.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ def _int(value) -> int:
     return value
 
 
+def _list(value) -> list:
+    """A vector or matrix field; anything but a JSON array raises TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON array, found {type(value).__name__}")
+    return value
+
+
 def net_to_dict(net: ShallowNet) -> dict:
     return {
         "d0": net.d0,
@@ -37,7 +44,8 @@ def net_to_dict(net: ShallowNet) -> dict:
 
 
 def net_from_dict(data: dict) -> ShallowNet:
-    net = ShallowNet(data["W1"], data["b1"], data["W2"], data["b2"])
+    w1 = [_list(row) for row in _list(data["W1"])]
+    net = ShallowNet(w1, _list(data["b1"]), _list(data["W2"]), data["b2"])
     if "d0" in data and net.d0 != _int(data["d0"]):
         raise ValueError("d0 does not match the shape of W1")
     if "d1" in data and net.d1 != _int(data["d1"]):
@@ -92,7 +100,7 @@ def form_to_dict(cf: CanonicalForm) -> dict:
 
 def form_from_dict(data: dict) -> CanonicalForm:
     terms = tuple((Breakline([_int(e) for e in t["d"]], t["q"]), t["kink"]) for t in data["terms"])
-    return CanonicalForm(terms, data["affine"], data["bias"], _int(data["d0"]))
+    return CanonicalForm(terms, _list(data["affine"]), data["bias"], _int(data["d0"]))
 
 
 def family_to_dict(fam: RepresentationFamily) -> dict:

@@ -12,13 +12,13 @@ c > 0, so every exact statement survives the integer rescaling.
 
 A raw network holds hidden neuron j as the integer row (W_j, B_j, D_j) with
 w1_j = W_j / D_j, b1_j = B_j / D_j and D_j the lcm of their denominators,
-parsed once from the weight literals.  The effective tuple is read off these
-rows in integers, so canonical forms, equivalence and evaluation of raw
-networks do no per-entry Fraction arithmetic.
+parsed a row at a time from the weight literals and reduced once per neuron.
+The effective tuple is read off these rows in integers and ``evaluate_net``
+compiles them, so raw networks do no per-entry Fraction arithmetic.
 
-Tuples, raw networks and canonical forms evaluate through one compiled
-response, ``response_kernel``, wrapped by ``exact.compiled``; its numerator
-is ``exact.relu_sum``, the one that expressions use too.  An affine part
+Tuples, forms (``response_kernel``) and raw nets (``evaluate_net``) compile
+to one integer kernel, ``_relu_kernel``, wrapped by ``exact.compiled``; its
+numerator ``exact.relu_sum`` is the one expressions use too.  An affine part
 costs a cancelling pair of neurons on a fresh breakline; ``affine_pair``
 builds it for ``affine_family``, the extra-breakline families and synthesis.
 """
@@ -28,11 +28,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale
-from .exact import compiled, dot, is_zero, primitive_direction, primitive_row, rat, rat_parts
-from .exact import relu_sum, vec
+from .exact import compiled, dot, is_zero, primitive_direction, primitive_row, rat, relu_sum
+from .exact import row_parts, vec
 
 
 @dataclass(frozen=True, order=True)
@@ -102,10 +102,11 @@ class EffectiveTuple:
 class ShallowNet:
     """Raw configuration (W1, b1, W2, b2) over exact rationals, output dimension 1.
 
-    Hidden neuron j is held as the integer row ``(W_j, B_j, D_j)`` with
-    w1_j = W_j / D_j, b1_j = B_j / D_j and D_j > 0 the lcm of their reduced
-    denominators.  That row is unique, so equality is equality of weights.
-    ``w1`` and ``b1`` give the weights back as Fractions.
+    Hidden neuron j is held as the integer row ``(W_j, B_j, D_j)``, the
+    primitive integer vector with D_j > 0 proportional to (w1_j, b1_j, 1): each
+    weight row is parsed in one pass (``exact.row_parts``) and divided by its
+    gcd once.  That row is unique, so equality is equality of weights.  ``w1``
+    and ``b1`` give the weights back as Fractions.
     """
 
     rows: tuple[tuple[tuple[int, ...], int, int], ...]
@@ -113,9 +114,9 @@ class ShallowNet:
     b2: Fraction
 
     def __init__(self, w1, b1, w2, b2):
-        w1 = [[rat_parts(e) for e in row] for row in w1]
-        b1 = [rat_parts(e) for e in b1]
-        w2 = vec(w2)
+        w1 = [row_parts(row) for row in w1]
+        b1 = row_parts(b1)
+        w2 = tuple(Fraction(*parts) for parts in row_parts(w2))
         b2 = rat(b2)
         d1 = len(w1)
         if len(b1) != d1 or len(w2) != d1:
@@ -128,7 +129,10 @@ class ShallowNet:
         rows = []
         for row, (bn, bd) in zip(w1, b1):
             den = lcm(bd, *(d for _, d in row))
-            rows.append((tuple(n * (den // d) for n, d in row), bn * (den // bd), den))
+            W, B = [n * (den // d) for n, d in row], bn * (den // bd)
+            if (g := gcd(den, B, *W)) > 1:
+                W, B, den = [e // g for e in W], B // g, den // g
+            rows.append((tuple(W), B, den))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "w2", w2)
         object.__setattr__(self, "b2", b2)
@@ -154,41 +158,32 @@ class ShallowNet:
 
 
 def evaluate_net(net: ShallowNet, x) -> Fraction:
-    """Exact response b2 + sum_j w2_j * max(w1_j . x + b1_j, 0).
-
-    Degenerate neurons are constant and fold into the output bias of
-    ``effective_tuple(net, drop_degenerate=True)``, whose response is then
-    exactly the net's.
-    """
-    t = effective_tuple(net, drop_degenerate=True)
-    return compiled(*response_kernel(t.neurons, (), t.out_bias), net.d0, "net")(x)
+    """Exact response b2 + sum_j w2_j * max(w1_j . x + b1_j, 0), compiled from
+    the integer rows: on x = X / D neuron j is (w2_j / D_j) (W_j . X + B_j D)_+ / D,
+    so a zero row is the constant w2_j * (b1_j)_+."""
+    relus = [(W, B, w2.numerator, w2.denominator * D) for (W, B, D), w2 in zip(net.rows, net.w2)]
+    return compiled(*_relu_kernel(relus, (), net.b2), net.d0, "net")(x)
 
 
 def response_kernel(neurons, affine, bias):
-    """Compile bias + affine . x + sum_j kink_j * (o_j * (d_j . x - q_j))_+.
+    """Compile bias + affine . x + sum_j kink_j * (o_j * (d_j . x - q_j))_+ to
+    ``(num, m)`` for ``compiled``: with q_j = r_j / s_j, neuron j is
+    (kink_j / s_j) * (o_j s_j d_j . X - o_j r_j D)_+ / D (``_relu_kernel``)."""
+    relus = []
+    for nr in neurons:
+        q, k, o = nr.breakline.offset, nr.kink, nr.orientation
+        row = tuple(o * q.denominator * e for e in nr.breakline.direction)
+        relus.append((row, -o * q.numerator, k.numerator, k.denominator * q.denominator))
+    return _relu_kernel(relus, affine, bias)
 
-    Returns ``(num, m)`` for ``compiled``: num takes a point as
-    ``scaled_point`` writes it, x = X / D, and checks no dimensions.  With
-    q_j = r_j / s_j, neuron j contributes
-    kink_j * (o_j * (s_j d_j . X - r_j D))_+ / (s_j D).  Over a common
-    denominator m fixed here the response is
-    (B D + A . X + sum_j K_j (row_j . X + c_j D)_+) / (m D) with the integer
-    row o_j s_j d_j, the integer c_j = -o_j r_j, K_j = m kink_j / s_j,
-    A = m affine and B = m bias: the numerator ``exact.relu_sum``.
-    """
-    neurons = [
-        (nr.breakline.direction, nr.breakline.offset, nr.kink, nr.orientation) for nr in neurons
-    ]
-    m = lcm(
-        bias.denominator,
-        *(a.denominator for a in affine),
-        *(q.denominator * k.denominator for _, q, k, _ in neurons),
-    )
-    relus = [
-        (tuple(o * q.denominator * e for e in d), -o * q.numerator, int(k * (m // q.denominator)))
-        for d, q, k, o in neurons
-    ]
+
+def _relu_kernel(relus, affine, bias):
+    """bias + affine . x + sum (p / t) * (r . X + s D)_+ / D over integer tuples
+    (r, s, p, t), on x = X / D, as ``(num, m)``: m is the lcm of every
+    denominator and num is ``exact.relu_sum``, which checks no dimensions."""
+    m = lcm(bias.denominator, *(a.denominator for a in affine), *(t for *_, t in relus))
     A = tuple(a.numerator * (m // a.denominator) for a in affine)
+    relus = [(r, s, p * (m // t)) for r, s, p, t in relus]
     return relu_sum(A, bias.numerator * (m // bias.denominator), relus), m
 
 
@@ -226,16 +221,15 @@ def effective_tuple(net: ShallowNet, drop_degenerate: bool = False) -> Effective
         d, g = primitive_row(row)
         o = 1 if g > 0 else -1
         kink = Fraction(w2.numerator * o * g, w2.denominator * den)
-        bl = _trusted(Breakline, direction=d, offset=Fraction(-b, g))
-        neurons.append(_trusted(Neuron, breakline=bl, kink=kink, orientation=o))
+        neurons.append(_trusted(Neuron, _trusted(Breakline, d, Fraction(-b, g)), kink, o))
     return EffectiveTuple(tuple(neurons), bias)
 
 
-def _trusted(cls, **fields):
-    """A frozen dataclass built from fields valid by construction, with no
-    ``__post_init__``: the checks belong to the input boundary."""
+def _trusted(cls, *values):
+    """A frozen dataclass from its field values in order, valid by construction,
+    with no ``__post_init__``: the checks belong to the public constructors."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
 
 
