@@ -38,8 +38,11 @@ _MAX_RANDOM_WEIGHTS = 100_000
 _MAX_RANDOM_ATTEMPTS = 20
 
 
-def _parse_rationals(text):
-    return tuple(rat(part) for part in text.split(","))
+def _parse_rationals(text, flag):
+    parts = text.split(",")
+    if "" in parts:
+        raise ValueError(f"{flag} entry {parts.index('') + 1} is empty")
+    return tuple(map(rat, parts))
 
 
 def _cmd_canon(args):
@@ -50,15 +53,15 @@ def _cmd_canon(args):
 
 def _cmd_classify(args):
     cf = _as_form(jsonio.load(args.file))
-    report = classify(cf, cap=args.cap, r_samples=_parse_rationals(args.r))
+    report = classify(cf, cap=args.cap, r_samples=_parse_rationals(args.r, "--r"))
     print(jsonio.dumps(jsonio.report_to_dict(report)))
     return 0
 
 
 def _cmd_enum(args):
     cf = _as_form(jsonio.load(args.file))
-    families = enumerate_minimal(cf, r_samples=_parse_rationals(args.r), cap=args.cap)
-    print(jsonio.dumps({"families": [jsonio.family_to_dict(f) for f in families]}))
+    families = enumerate_minimal(cf, r_samples=_parse_rationals(args.r, "--r"), cap=args.cap)
+    print(jsonio.dumps({"families": jsonio.families_to_list(families)}))
     return 0
 
 
@@ -90,7 +93,7 @@ def _cmd_synth(args):
 
 def _cmd_eval(args):
     obj = jsonio.load(args.file)
-    x = _parse_rationals(args.x)
+    x = _parse_rationals(args.x, "--x")
     if isinstance(obj, ShallowNet):
         value = evaluate_net(obj, x)
     elif isinstance(obj, EffectiveTuple):

@@ -3,11 +3,15 @@
 Rationals serialize as "p/q" or "p"; decimal strings and JSON integers are
 read exactly.  Integer fields (d0, d1, orient, directions) take non-bool JSON
 integers, and vectors and matrices (W1 and its rows, b1, W2, affine) arrays.
+
+`report_to_dict` and `families_to_list` build one dict per distinct `Neuron`,
+which `dumps` prints once, byte-for-byte as ``json.dumps(obj, indent=2)``.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode
 
 from .canonical import CanonicalForm, Different, Equal, EqualUpToAffine
 from .errors import DimensionMismatch, SchemaError
@@ -63,19 +67,12 @@ def _breakline_from_dict(data: dict) -> Breakline:
     return Breakline(d, rat(data["q"]) / s)
 
 
-def tuple_to_dict(t: EffectiveTuple) -> dict:
-    return {
-        "neurons": [
-            {
-                "d": list(nr.breakline.direction),
-                "q": rat_str(nr.breakline.offset),
-                "kink": rat_str(nr.kink),
-                "orient": nr.orientation,
-            }
-            for nr in t.neurons
-        ],
-        "bias": rat_str(t.out_bias),
-    }
+def _neuron_to_dict(nr: Neuron) -> dict:
+    return {**_breakline_to_dict(nr.breakline), "kink": rat_str(nr.kink), "orient": nr.orientation}
+
+
+def tuple_to_dict(t: EffectiveTuple, neuron_to_dict=_neuron_to_dict) -> dict:
+    return {"neurons": [neuron_to_dict(nr) for nr in t.neurons], "bias": rat_str(t.out_bias)}
 
 
 def tuple_from_dict(data: dict) -> EffectiveTuple:
@@ -88,10 +85,7 @@ def tuple_from_dict(data: dict) -> EffectiveTuple:
 
 def form_to_dict(cf: CanonicalForm) -> dict:
     return {
-        "terms": [
-            {"d": list(bl.direction), "q": rat_str(bl.offset), "kink": rat_str(k)}
-            for bl, k in cf.terms
-        ],
+        "terms": [{**_breakline_to_dict(bl), "kink": rat_str(k)} for bl, k in cf.terms],
         "affine": [rat_str(e) for e in cf.affine],
         "bias": rat_str(cf.bias),
         "d0": cf.d0,
@@ -103,23 +97,33 @@ def form_from_dict(data: dict) -> CanonicalForm:
     return CanonicalForm(terms, _list(data["affine"]), data["bias"], _int(data["d0"]))
 
 
-def family_to_dict(fam: RepresentationFamily) -> dict:
+def family_to_dict(fam: RepresentationFamily, neuron_to_dict=_neuron_to_dict) -> dict:
     out = {
         "kind": fam.kind,
         "sigma": list(fam.sigma),
         "provenance": [j + 1 for j in fam.provenance],
-        "tuples": [tuple_to_dict(t) for t in fam.tuples],
+        "tuples": [tuple_to_dict(t, neuron_to_dict) for t in fam.tuples],
     }
     if fam.kind == KIND_FRESH:
         out["r_values"] = [rat_str(r) for r in fam.r_values]
     return out
 
 
+def families_to_list(families) -> list:
+    """The families' dicts, sharing one dict per distinct `Neuron` object."""
+    shared = {}  # id of a neuron, kept alive by ``families``, to its dict
+
+    def neuron_to_dict(nr):
+        return shared.get(id(nr)) or shared.setdefault(id(nr), _neuron_to_dict(nr))
+
+    return [family_to_dict(f, neuron_to_dict) for f in families]
+
+
 def report_to_dict(report: MinimalityReport) -> dict:
     return {
         "case": report.case,
         "min_width": report.min_width,
-        "families": [family_to_dict(f) for f in report.families],
+        "families": families_to_list(report.families),
         "components": [
             {"dim": dim, "count": str(count)} for dim, count in report.manifold_components
         ],
@@ -194,6 +198,49 @@ def from_dict(data: dict):
     raise ValueError("unrecognized JSON object (expected a net, tuple, form or PWA spec)")
 
 
-def dumps(data: dict) -> str:
-    """Deterministic serialization used everywhere output must be byte-stable."""
-    return json.dumps(data, indent=2)
+def dumps(data) -> str:
+    """Deterministic serialization used everywhere output must be byte-stable.
+
+    Exactly ``json.dumps(data, indent=2)`` for trees of str-keyed dicts,
+    lists, str and int; other scalars go to ``json.dumps``.  A dict of
+    scalars and scalar lists, such as a neuron, is rendered once per object
+    and depth, through an ``id``-keyed memo that lives for this one call:
+    ``data`` must not be mutated during it.
+    """
+    scalars = {str: _encode, int: int.__repr__}  # exact types: bool goes to json.dumps
+    memo, out = {}, []  # out holds the text in chunks, joined once at the end
+
+    def emit(o, pad):  # appends o's text to out; pad is a newline plus o's indentation
+        scalar = scalars.get(type(o))
+        if scalar:
+            out.append(scalar(o))
+        elif isinstance(o, dict):
+            key, start = (id(o), len(pad)), len(out)
+            if key in memo or not o:
+                out.append(memo.get(key, "{}"))
+                return
+            sep, inner = "{" + pad + "  ", pad + "  "
+            for k, v in o.items():
+                out.append(f"{sep}{_encode(k)}: ")
+                emit(v, inner)
+                sep = "," + inner
+            out.append(pad + "}")
+            if len(out) - start == 2 * len(o) + 1:  # each value one chunk: a leaf, keep it
+                out[start:] = [memo.setdefault(key, "".join(out[start:]))]
+        elif isinstance(o, (list, tuple)):
+            kinds, inner = set(map(type, o)), pad + "  "
+            scalar = scalars.get(kinds.pop()) if len(kinds) == 1 else None
+            if scalar or not o:
+                out.append(f"[{inner}{(',' + inner).join(map(scalar, o))}{pad}]" if o else "[]")
+                return
+            sep = "[" + inner
+            for v in o:
+                out.append(sep)
+                emit(v, inner)
+                sep = "," + inner
+            out.append(pad + "]")
+        else:
+            out.append(json.dumps(o))
+
+    emit(data, "\n")
+    return "".join(out)

@@ -128,30 +128,29 @@ def verify_representation(cf: CanonicalForm, t: EffectiveTuple) -> bool:
     return canonicalize(t, d0=cf.d0) == cf
 
 
-def _split_family(cf, kind, sigma, js):
+def _split_family(cf, kind, sigma, js, oriented):
     """The form's terms with orientations sigma, each term in js split in two.
 
     a_sigma = sum of delta_j * direction_j over js; term j keeps orientation
     +1 with kink kink_j + delta_j and gains an opposite neuron with kink
     -delta_j, which absorbs a_sigma.  With js empty this is the exact family.
+    ``oriented[i][s]``, term i with orientation s, is shared by all families.
     """
     a_sigma, b_sigma = sigma_affine(cf, sigma)
     deltas = dict(zip(js, in_span(a_sigma, [cf.breaklines[j].direction for j in js])))
-    neurons = []
-    for i, ((bl, k), s) in enumerate(zip(cf.terms, sigma)):
-        if i in deltas:
-            assert deltas[i] != 0 and k + deltas[i] != 0, "would contradict minimality"
-            neurons.append(Neuron(bl, k + deltas[i], 1))
-            b_sigma += deltas[i] * bl.offset
-        else:
-            neurons.append(Neuron(bl, k, s))
+    neurons = list(map(dict.__getitem__, oriented, sigma))
+    for j, delta in deltas.items():  # sigma_j = 1 on every split term
+        bl, k = cf.terms[j]
+        assert delta != 0 and k + delta != 0, "would contradict minimality"
+        neurons[j] = Neuron(bl, k + delta, 1)
+        b_sigma += delta * bl.offset
     neurons.extend(Neuron(cf.breaklines[j], -deltas[j], -1) for j in js)
     return RepresentationFamily(kind, sigma, js, (EffectiveTuple(tuple(neurons), b_sigma),))
 
 
-def _fresh_line_family(cf, sigma, r_values):
+def _fresh_line_family(cf, sigma, r_values, oriented):
     a_sigma, b_sigma = sigma_affine(cf, sigma)
-    terms = tuple(Neuron(b, k, sg) for (b, k), sg in zip(cf.terms, sigma))
+    terms = tuple(map(dict.__getitem__, oriented, sigma))
     tuples = []
     for r in r_values:
         pos, neg, shift = affine_pair(a_sigma, r)
@@ -175,6 +174,7 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
         return []
 
     dirs = sorted({bl.direction for bl in cf.breaklines})
+    oriented = [{s: Neuron(b, k, s) for s in (1, -1)} for b, k in cf.terms]
     cases = (
         (KIND_EXACT, [()]),
         (KIND_DUP, [(m,) for m in dirs]),
@@ -183,13 +183,13 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
     for kind, groups in cases:
         # in case III every pattern also gives an extra-breakline family
         patterns = product((1, -1), repeat=cf.n) if kind == KIND_PAIR else ()
-        families = [_fresh_line_family(cf, s, r_values) for s in patterns]
+        families = [_fresh_line_family(cf, s, r_values, oriented) for s in patterns]
         for ms in groups:
             hits = (compute_J, compute_J_single, compute_J_pair)[len(ms)](cf, *ms, cap=cap)
             on_ms = ([i for i, bl in enumerate(cf.breaklines) if bl.direction == m] for m in ms)
             for js in product(*on_ms):
                 families.extend(
-                    _split_family(cf, kind, sigma, js)
+                    _split_family(cf, kind, sigma, js, oriented)
                     for sigma in hits
                     if all(sigma[j] == 1 for j in js)
                 )
