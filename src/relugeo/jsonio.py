@@ -1,8 +1,8 @@
 """JSON interchange for every serializable object in the package.
 
-Rationals serialize as "p/q" or "p"; decimal strings and JSON integers are
-read exactly.  Integer fields (d0, d1, orient, directions) take non-bool JSON
-integers, and vectors and matrices (W1 and its rows, b1, W2, affine) arrays.
+Rationals serialize as "p/q" or "p" and read exactly.  Integer fields (d0,
+d1, orient, d) take non-bool JSON integers, array fields (W1, its rows, b1,
+W2, affine, terms, neurons, d, declared breaklines) JSON arrays.
 
 `report_to_dict` and `families_to_list` build one dict per distinct `Neuron`,
 which `dumps` prints once, byte-for-byte as ``json.dumps(obj, indent=2)``.
@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, SchemaError
 from .exact import primitive_direction, rat, rat_str
 from .minimality import KIND_FRESH, MinimalityReport, RepresentationFamily
 from .network import Breakline, EffectiveTuple, Neuron, ShallowNet
-from .pwa import PWASpec, expr_dim, flat_breaklines, parse_pwa
+from .pwa import PWASpec, expr_dim, parse_pwa
 from .synthesis import Violation
 
 
@@ -29,11 +29,11 @@ def _int(value) -> int:
     return value
 
 
-def _list(value) -> list:
-    """A vector or matrix field; anything but a JSON array raises TypeError."""
+def _list(value, item=None) -> list:
+    """An array field, ``item`` applied to each entry if given; a non-array raises TypeError."""
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON array, found {type(value).__name__}")
-    return value
+    return value if item is None else [item(e) for e in value]
 
 
 def net_to_dict(net: ShallowNet) -> dict:
@@ -48,8 +48,7 @@ def net_to_dict(net: ShallowNet) -> dict:
 
 
 def net_from_dict(data: dict) -> ShallowNet:
-    w1 = [_list(row) for row in _list(data["W1"])]
-    net = ShallowNet(w1, _list(data["b1"]), _list(data["W2"]), data["b2"])
+    net = ShallowNet(_list(data["W1"], _list), _list(data["b1"]), _list(data["W2"]), data["b2"])
     if "d0" in data and net.d0 != _int(data["d0"]):
         raise ValueError("d0 does not match the shape of W1")
     if "d1" in data and net.d1 != _int(data["d1"]):
@@ -63,7 +62,7 @@ def _breakline_to_dict(bl: Breakline) -> dict:
 
 def _breakline_from_dict(data: dict) -> Breakline:
     """A declared hyperplane {d.x = q}, rescaled to a primitive lex-positive d."""
-    d, s = primitive_direction([_int(e) for e in data["d"]])
+    d, s = primitive_direction(_list(data["d"], _int))
     return Breakline(d, rat(data["q"]) / s)
 
 
@@ -77,8 +76,8 @@ def tuple_to_dict(t: EffectiveTuple, neuron_to_dict=_neuron_to_dict) -> dict:
 
 def tuple_from_dict(data: dict) -> EffectiveTuple:
     neurons = tuple(
-        Neuron(Breakline([_int(e) for e in nr["d"]], nr["q"]), nr["kink"], _int(nr["orient"]))
-        for nr in data["neurons"]
+        Neuron(Breakline(_list(nr["d"], _int), nr["q"]), nr["kink"], _int(nr["orient"]))
+        for nr in _list(data["neurons"])
     )
     return EffectiveTuple(neurons, data["bias"])
 
@@ -93,7 +92,7 @@ def form_to_dict(cf: CanonicalForm) -> dict:
 
 
 def form_from_dict(data: dict) -> CanonicalForm:
-    terms = tuple((Breakline([_int(e) for e in t["d"]], t["q"]), t["kink"]) for t in data["terms"])
+    terms = tuple((Breakline(_list(t["d"], _int), t["q"]), t["kink"]) for t in _list(data["terms"]))
     return CanonicalForm(terms, _list(data["affine"]), data["bias"], _int(data["d0"]))
 
 
@@ -153,11 +152,9 @@ def violation_to_dict(v: Violation) -> dict:
 
 def pwa_spec_from_dict(data: dict) -> PWASpec:
     expr = parse_pwa(data["expr"])
-    bls = data.get("breaklines", "auto")
-    if bls == "auto":
-        breaklines = tuple(flat_breaklines(expr))
-    else:
-        breaklines = tuple(_breakline_from_dict(b) for b in bls)
+    breaklines = data.get("breaklines", "auto")  # "auto" is read off by synthesize
+    if breaklines != "auto":
+        breaklines = tuple(_breakline_from_dict(b) for b in _list(breaklines))
         d0 = expr_dim(expr)
         for i, bl in enumerate(breaklines):
             if bl.d0 != d0:

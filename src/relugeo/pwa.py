@@ -19,7 +19,7 @@ minus adding a level, which bounds every recursive walk over a parsed tree.
 
 One compile, ``_compile``, evaluates an expression and finds its flat form:
 each flat subtree is one triple for ``exact.relu_sum``, the numerator of
-expressions, tuples, forms and nets alike, and ``flat_form`` reads it off.
+expressions, tuples, forms and nets alike, and ``_read_flat`` reads it off.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import compiled, primitive_row, rat, rat_parts, rat_str, relu_sum, vec
+from .exact import compiled, primitive_row, rat, rat_parts, rat_str, relu_sum, scaled_point
 from .network import Breakline
 
 
@@ -79,38 +79,38 @@ PWAExpr = Affine | Relu | Max | Min | Sum | Scale | Neg
 @dataclass(frozen=True)
 class PWASpec:
     expr: PWAExpr
-    breaklines: tuple[Breakline, ...]
+    breaklines: tuple[Breakline, ...] | str  # or "auto": synthesize reads them off the flat form
 
 
 # the parser spends about four frames per level; Python allows 1000 in all
 _MAX_DEPTH = 100
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:/\d+)?)|(affine|relu|max|min)|([()\[\],+*-]))")
+# any other non-space character is a "bad" token, reported when the parser reaches it
+_TOKEN = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:/\d+)?)|(affine|relu|max|min)|([()\[\],+*-])|(\S))")
 
 
 class _Lexer:
     def __init__(self, text):
-        self.text = text
-        self.pos = 0  # 0-based offset into text
+        self.tokens = [  # (kind, value, 1-based position), scanned once
+            ({1: "num", 2: "name", 4: "bad"}.get(i, m[i]), m[i], m.start(i) + 1)
+            for m in _TOKEN.finditer(text)
+            for i in (m.lastindex,)  # exactly one of the four alternatives matched
+        ]
+        self.tokens.append((None, None, len(text) + 1))
+        self.i = 0  # index of the next token
         self.depth = 0  # nesting level of the factor being parsed
 
     def peek(self):
         """(kind, value, 1-based position) of the next token; kind None at end."""
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos :].lstrip()
-            at = len(self.text) - len(rest) + 1
-            if rest:
-                raise ParseError(at, {"a token"}, rest[0])
-            return None, None, at
-        i = m.lastindex  # exactly one of the three alternatives matched
-        return {1: "num", 2: "name"}.get(i, m.group(i)), m.group(i), m.start(i) + 1
+        tok = self.tokens[self.i]
+        if tok[0] == "bad":
+            raise ParseError(tok[2], {"a token"}, tok[1])
+        return tok
 
     def next(self):
         tok = self.peek()
         if tok[0] is not None:
-            m = _TOKEN.match(self.text, self.pos)
-            self.pos = m.end()
+            self.i += 1
         return tok
 
     def expect(self, kind, what=None):
@@ -300,9 +300,7 @@ def _compile(e):
     its flat children's triples at the common m, then its other children.
     """
     if isinstance(e, Affine):
-        coeffs = (*vec(e.coeffs), rat(e.const))
-        m = lcm(*(c.denominator for c in coeffs))
-        *row, c = (c.numerator * (m // c.denominator) for c in coeffs)
+        (*row, c), m = scaled_point((*e.coeffs, e.const))
         return _flat((tuple(row), c, ()), m)
     if isinstance(e, Relu):
         child, m, flat = _compile(e.child)
@@ -372,6 +370,11 @@ def flat_form(e: PWAExpr):
     breakline, in order of first appearance, to its summed kink, zero included.
     """
     _, m, flat = _compile(e)
+    return _read_flat(m, flat)
+
+
+def _read_flat(m, flat):
+    """``flat_form`` of the expression whose ``_compile`` gave ``m`` and ``flat``."""
     if isinstance(flat, str):
         raise NotFlat(flat)
     row, c, relus = flat

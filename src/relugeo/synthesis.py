@@ -4,13 +4,13 @@ Under the transversality condition (breaklines through any common point have
 linearly independent normals) the gradient jump across a breakline, at any
 point of it off the other breaklines, is kink * normal of the one term on
 that breakline, and what is left is affine: a cancelling pair of neurons
-(``affine_pair``), for at most n+2 in all.  A flat expression whose kinked
-terms all lie on declared breaklines is read off in closed form
-(``pwa.flat_form``).  Any other exact evaluator is measured: each kink by
-exact affine interpolation on small simplices either side of its breakline,
-then the remainder by one fit, then f == response on sampled points X / D
-through integer numerators (a compiled f's ``kernel``; a black box is lifted
-to f(X / D) * D).
+(``affine_pair``), for at most n+2 in all.  ``synthesize`` compiles a spec
+once (``pwa._compile``), and a flat spec whose kinked terms all lie on
+declared breaklines is read off that compile in closed form.  Any other
+exact evaluator is measured: each kink by exact affine interpolation on
+small simplices either side of its breakline, then the remainder by one fit,
+then f == response on sampled points X / D through integer numerators (a
+compiled f's ``kernel``; a black box is lifted to f(X / D) * D).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb, lcm
 
-from .errors import CapExceeded, NotFlat, NotLocallyAffine, NotRepresentable, NotTransversal
-from .exact import dot, is_zero, primitive_direction, rat, solve_affine, vec, vsub
+from .errors import CapExceeded, NotLocallyAffine, NotRepresentable, NotTransversal
+from .exact import compiled, dot, is_zero, primitive_direction, rat, solve_affine, vec, vsub
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
-from .pwa import PWASpec, evaluator, expr_dim, flat_form
+from .pwa import PWASpec, _compile, _read_flat, expr_dim
 
 # Most breaklines check_transversality takes, before any work is counted.
 _MAX_BREAKLINES = 20
@@ -236,15 +236,12 @@ def synthesize_evaluator(
     return result
 
 
-def _read_off(expr, breaklines, d0):
-    """The network of a flat expression whose kinked term breaklines are all
-    declared, read off ``flat_form``, else None.  On transversal breaklines
-    each jump the measuring path finds is kink * direction and its remainder
-    is the affine part, so the result is the same."""
-    try:
-        terms, affine, bias = flat_form(expr)
-    except NotFlat:
-        return None
+def _read_off(form, breaklines, d0):
+    """The network of a flat expression's ``flat_form`` whose kinked term
+    breaklines are all declared, else None.  On transversal breaklines each
+    jump the measuring path finds is kink * direction and its remainder is
+    the affine part, so the result is the same."""
+    terms, affine, bias = form
     declared = set(breaklines)
     if not {bl for bl, k in terms.items() if k} <= declared or any(bl.d0 != d0 for bl in declared):
         return None
@@ -256,16 +253,19 @@ def _read_off(expr, breaklines, d0):
 def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int = 1000):
     """Synthesize a network for a parsed piecewise-affine specification.
 
-    A flat spec whose transversal breaklines include every kinked term is
-    read off in closed form (``_read_off``).  Every other spec, and every
-    spec with ``check=False``, is measured by ``synthesize_evaluator``, the
-    only path that ``n_verify`` applies to.
+    One compile gives the ``"auto"`` breaklines (NotFlat if nested) and the
+    closed-form network of a flat spec whose transversal breaklines include
+    every kinked term (``_read_off``).  Only the other specs, and every spec
+    with ``check=False``, are measured, and ``n_verify`` applies to them only.
     """
+    num, m, flat = _compile(spec.expr)
+    auto = spec.breaklines == "auto"
+    form = _read_flat(m, flat) if auto or not isinstance(flat, str) else None
+    breaklines = list(form[0] if auto else spec.breaklines)
     d0 = expr_dim(spec.expr)
-    breaklines = list(spec.breaklines)
     if check:
         if (violation := check_transversality(breaklines)) is not None:
             raise NotTransversal(violation)
-        if (result := _read_off(spec.expr, breaklines, d0)) is not None:
+        if form is not None and (result := _read_off(form, breaklines, d0)) is not None:
             return result
-    return synthesize_evaluator(evaluator(spec.expr), breaklines, d0, seed, False, n_verify)
+    return synthesize_evaluator(compiled(num, m, d0, "leaf"), breaklines, d0, seed, False, n_verify)
