@@ -1,7 +1,8 @@
 """Exact rational scalars, vectors and small dense linear algebra.
 
 Everything downstream (canonical forms, minimality, synthesis) relies on
-equality tests being exact, so all arithmetic happens over ``Fraction``.
+equality tests being exact, so arithmetic is over ``Fraction`` or over
+integers scaled by a common denominator, never floats.
 Directions of hyperplanes are stored as primitive integer vectors: not all
 zero, gcd one, first nonzero entry positive.  The sign convention doubles as
 the orientation cone: a nonzero vector is positively oriented iff its first

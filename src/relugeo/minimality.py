@@ -8,10 +8,13 @@ explicit construction of every minimal representation modulo neuron
 permutation, plus the dimension and connected-component count of the manifold
 of raw networks realizing the function.
 
-One kernel, ``_span_patterns``, finds J, J(m) and J(m, m') by meet in the
-middle over the sign patterns, with no linear solve per pattern.  One
-construction, ``_split_family``, builds the exact, duplicated-breakline and
-duplicated-pair families: split an opposite neuron off 0, 1 or 2 terms.
+Per pattern, everything runs in integers.  One kernel, ``_span_patterns``,
+finds J, J(m) and J(m, m') by meet in the middle over integer sums, with no
+linear solve per pattern, and the families take a_sigma and b_sigma as
+integer rows from running sums (``_corrections``).  One construction,
+``_split_family``, builds the exact, duplicated-breakline and duplicated-pair
+families: split an opposite neuron off 0, 1 or 2 terms, with kinks read off
+a_sigma by one Cramer formula per direction group.
 
 The brute-force oracle at the bottom re-derives the minimal width by direct
 search over neuron-to-breakline assignments and exact linear solving, without
@@ -24,17 +27,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
-from operator import add
+from operator import add, mul, neg
 
-from .canonical import CanonicalForm, canonicalize, sigma_affine
+from .canonical import CanonicalForm, canonicalize
 from .errors import (
     CapExceeded,
     DimensionMismatch,
     EnumerationCapExceeded,
     EqualDirections,
 )
-from .exact import dot, in_span, is_zero, primitive_direction, rat, solve_affine, vec, vsub
-from .network import Breakline, EffectiveTuple, Neuron, affine_pair
+from .exact import is_zero, primitive_direction, primitive_row, rat, scaled_point, solve_affine, vec
+from .network import Breakline, EffectiveTuple, Neuron
 
 DEFAULT_CAP = 24
 
@@ -73,37 +76,44 @@ def _check_cap(n, cap):
         raise EnumerationCapExceeded(n, cap)
 
 
+def _half_sums(start, steps):
+    """Running sums, {pattern: sum} in product order, over each half of the
+    steps: start plus the steps at sigma's -1 entries is head[sigma[:h]] +
+    tail[sigma[h:]], h = len(steps) // 2.  A level adds one step to each sum."""
+    h = len(steps) // 2
+    halves = []
+    for level, part in (([start], steps[:h]), ([(0,) * len(start)], steps[h:])):
+        for step in part:
+            level = [t for s in level for t in (s, tuple(map(add, s, step)))]
+        halves.append(dict(zip(product((1, -1), repeat=len(part)), level)))
+    return halves
+
+
 def _span_patterns(cf, gens, cap):
     """All sign patterns, in product order, whose a_sigma lies in span(gens).
 
     a_sigma is the affine part plus kink*direction over the terms with
     sigma_i = -1; it lies in the span iff its projection onto the span's
-    normals vanishes.  That is a subset sum over exact tuples, solved by meet
-    in the middle (Horowitz-Sahni): tail-half sums are bucketed in a dict and
-    each head-half sum looks up its complement.
+    normals vanishes.  The test is homogeneous, so it runs in integers: the
+    affine part and kinks over their common denominator, the normals scaled.
+    That is a subset sum, solved by meet in the middle (Horowitz-Sahni): tail
+    sums are bucketed by their negation and each head sum looks itself up.
     """
     _check_cap(cf.n, cap)
     gens = [tuple(g) for g in gens]
     if len(set(gens)) < len(gens):
         raise EqualDirections("the two directions must differ")
     _, normals = solve_affine(gens, [0] * len(gens), cf.d0)
-    steps = [tuple(k * dot(w, bl.direction) for w in normals) for bl, k in cf.terms]
-
-    def sums(part):  # (sum of the steps at the -1 entries, pattern), in product order
-        level = [((Fraction(0),) * len(normals), ())]
-        for step in part:
-            level = [
-                (s if sign == 1 else tuple(map(add, s, step)), pattern + (sign,))
-                for s, pattern in level
-                for sign in (1, -1)
-            ]
-        return level
-
-    tails = {}
-    for s, tail in sums(steps[cf.n // 2 :]):
-        tails.setdefault(s, []).append(tail)
-    target = tuple(-dot(w, cf.affine) for w in normals)
-    return [h + t for s, h in sums(steps[: cf.n // 2]) for t in tails.get(vsub(target, s), ())]
+    normals = [scaled_point(w)[0] for w in normals]
+    scaled, _ = scaled_point(cf.affine + cf.kinks)
+    # a normal has d0 entries, so zip stops before the kinks in ``scaled``
+    proj = lambda v, k=1: tuple(k * sum(map(mul, w, v)) for w in normals)
+    steps = [proj(bl.direction, k) for bl, k in zip(cf.breaklines, scaled[cf.d0 :])]
+    heads, tails = _half_sums(proj(scaled), steps)
+    buckets = {}
+    for tail, s in tails.items():
+        buckets.setdefault(tuple(map(neg, s)), []).append(tail)
+    return [head + tail for head, s in heads.items() for tail in buckets.get(s, ())]
 
 
 def compute_J(cf: CanonicalForm, cap: int = DEFAULT_CAP):
@@ -128,7 +138,43 @@ def verify_representation(cf: CanonicalForm, t: EffectiveTuple) -> bool:
     return canonicalize(t, d0=cf.d0) == cf
 
 
-def _split_family(cf, kind, sigma, js, oriented):
+def _corrections(cf):
+    """(m, sigma -> (m * a_sigma, b_sigma)) with m * a_sigma an integer row.
+
+    m is the lcm of the kink and affine denominators and m_b that of the bias
+    and each kink * offset, so (m * a_sigma, m_b * b_sigma) is the integer
+    affine part and bias plus an integer step per term with sigma_i = -1.
+    """
+    scaled, m = scaled_point(cf.affine + cf.kinks)
+    (bias, *kq), m_b = scaled_point((cf.bias, *(k * bl.offset for bl, k in cf.terms)))
+    rows = zip(cf.breaklines, scaled[cf.d0 :], kq)
+    steps = [(*(k * e for e in bl.direction), -c) for bl, k, c in rows]
+    heads, tails = _half_sums((*scaled[: cf.d0], bias), steps)
+    h = cf.n // 2
+
+    def correction(sigma):
+        *a, b = map(add, heads[sigma[:h]], tails[sigma[h:]])
+        return a, Fraction(b, m_b)
+
+    return m, correction
+
+
+def _split_read_off(ms, m):
+    """a -> the deltas with a = m * sum of delta_i * ms[i], for a in span(ms),
+    by Cramer's rule on one nonzero minor of the directions (distinct, hence
+    independent), fixed per group: the first nonzero entry of one direction,
+    or the first nonzero 2x2 minor of two."""
+    if len(ms) < 2:
+        p = next(i for i, e in enumerate(ms[0]) if e) if ms else 0
+        return lambda a: tuple(Fraction(a[p], m * d[p]) for d in ms)
+    u, v = ms
+    cross = lambda x, y, p, q: x[p] * y[q] - x[q] * y[p]
+    p, q = next(r for r in combinations(range(len(u)), 2) if cross(u, v, *r))
+    det = m * cross(u, v, p, q)
+    return lambda a: (Fraction(cross(a, v, p, q), det), Fraction(cross(u, a, p, q), det))
+
+
+def _split_family(cf, kind, sigma, js, read_off, correction, oriented):
     """The form's terms with orientations sigma, each term in js split in two.
 
     a_sigma = sum of delta_j * direction_j over js; term j keeps orientation
@@ -136,25 +182,30 @@ def _split_family(cf, kind, sigma, js, oriented):
     -delta_j, which absorbs a_sigma.  With js empty this is the exact family.
     ``oriented[i][s]``, term i with orientation s, is shared by all families.
     """
-    a_sigma, b_sigma = sigma_affine(cf, sigma)
-    deltas = dict(zip(js, in_span(a_sigma, [cf.breaklines[j].direction for j in js])))
+    a_sigma, b_sigma = correction(sigma)
+    deltas = read_off(a_sigma)
     neurons = list(map(dict.__getitem__, oriented, sigma))
-    for j, delta in deltas.items():  # sigma_j = 1 on every split term
+    for j, delta in zip(js, deltas):  # sigma_j = 1 on every split term
         bl, k = cf.terms[j]
         assert delta != 0 and k + delta != 0, "would contradict minimality"
         neurons[j] = Neuron(bl, k + delta, 1)
         b_sigma += delta * bl.offset
-    neurons.extend(Neuron(cf.breaklines[j], -deltas[j], -1) for j in js)
+    neurons.extend(Neuron(cf.terms[j][0], -delta, -1) for j, delta in zip(js, deltas))
     return RepresentationFamily(kind, sigma, js, (EffectiveTuple(tuple(neurons), b_sigma),))
 
 
-def _fresh_line_family(cf, sigma, r_values, oriented):
-    a_sigma, b_sigma = sigma_affine(cf, sigma)
+def _fresh_line_family(sigma, correction, m, r_values, oriented):
+    a_sigma, b_sigma = correction(sigma)
+    # a_sigma = s * d with d primitive and lex-positive, and on each {d.x = r}
+    # the pair s*(d.x - r)_+ - s*(-(d.x - r))_+ sums to a_sigma.x - s*r
+    d, g = primitive_row(a_sigma)
+    s = Fraction(g, m)
     terms = tuple(map(dict.__getitem__, oriented, sigma))
     tuples = []
     for r in r_values:
-        pos, neg, shift = affine_pair(a_sigma, r)
-        tuples.append(EffectiveTuple(terms + (pos, neg), shift + b_sigma))
+        bl = Breakline(d, r)
+        pair = (Neuron(bl, s, 1), Neuron(bl, -s, -1))
+        tuples.append(EffectiveTuple(terms + pair, s * bl.offset + b_sigma))
     return RepresentationFamily(KIND_FRESH, sigma, (), tuple(tuples), tuple(r_values))
 
 
@@ -173,6 +224,7 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
     if cf.is_affine() and is_zero(cf.affine):
         return []
 
+    scale, correction = _corrections(cf)
     dirs = sorted({bl.direction for bl in cf.breaklines})
     oriented = [{s: Neuron(b, k, s) for s in (1, -1)} for b, k in cf.terms]
     cases = (
@@ -183,13 +235,14 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
     for kind, groups in cases:
         # in case III every pattern also gives an extra-breakline family
         patterns = product((1, -1), repeat=cf.n) if kind == KIND_PAIR else ()
-        families = [_fresh_line_family(cf, s, r_values, oriented) for s in patterns]
+        families = [_fresh_line_family(s, correction, scale, r_values, oriented) for s in patterns]
         for ms in groups:
             hits = (compute_J, compute_J_single, compute_J_pair)[len(ms)](cf, *ms, cap=cap)
+            read_off = _split_read_off(ms, scale)
             on_ms = ([i for i, bl in enumerate(cf.breaklines) if bl.direction == m] for m in ms)
             for js in product(*on_ms):
                 families.extend(
-                    _split_family(cf, kind, sigma, js, oriented)
+                    _split_family(cf, kind, sigma, js, read_off, correction, oriented)
                     for sigma in hits
                     if all(sigma[j] == 1 for j in js)
                 )

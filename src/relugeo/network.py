@@ -20,7 +20,7 @@ Tuples, forms (``response_kernel``) and raw nets (``evaluate_net``) compile
 to one integer kernel, ``_relu_kernel``, wrapped by ``exact.compiled``; its
 numerator ``exact.relu_sum`` is the one expressions use too.  An affine part
 costs a cancelling pair of neurons on a fresh breakline; ``affine_pair``
-builds it for ``affine_family``, the extra-breakline families and synthesis.
+builds it for ``affine_family`` and synthesis.
 """
 
 from __future__ import annotations

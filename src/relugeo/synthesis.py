@@ -257,6 +257,8 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int =
     closed-form network of a flat spec whose transversal breaklines include
     every kinked term (``_read_off``).  Only the other specs, and every spec
     with ``check=False``, are measured, and ``n_verify`` applies to them only.
+    A flat spec with a kink off its declared breaklines raises the measuring
+    path's error, or MissingBreakline where that path returns a network.
     """
     num, m, flat = _compile(spec.expr)
     auto = spec.breaklines == "auto"
@@ -268,4 +270,10 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int =
             raise NotTransversal(violation)
         if form is not None and (result := _read_off(form, breaklines, d0)) is not None:
             return result
-    return synthesize_evaluator(compiled(num, m, d0, "leaf"), breaklines, d0, seed, False, n_verify)
+    net = synthesize_evaluator(compiled(num, m, d0, "leaf"), breaklines, d0, seed, False, n_verify)
+    # the flat form is f exactly, so a kink off the declared breaklines that
+    # the sampled check missed is still there
+    if form and (missing := [bl for bl, k in form[0].items() if k and bl not in breaklines]):
+        bl = missing[0]
+        raise NotRepresentable("MissingBreakline", f"kink on {list(bl.direction)}.x = {bl.offset}")
+    return net
