@@ -14,9 +14,9 @@ evaluator that checks the point's length, and leaves the integer function on
 the evaluator as its ``kernel``; ``relu_sum`` is the one such function for
 expressions, tuples, forms and nets.
 
-There is one elimination routine, ``solve_affine`` (Gauss-Jordan over
-``Fraction``); ``rank`` and ``in_span`` read their answers off its particular
-solution and null space.
+There is one elimination routine, ``eliminate``: fraction-free Gauss-Jordan on
+integer rows.  ``solve_affine`` reads its particular solution and null space
+off it, and ``rank`` and ``in_span`` read theirs off ``solve_affine``.
 """
 
 from __future__ import annotations
@@ -135,10 +135,6 @@ def dot(a, b) -> Fraction:
     return sum((Fraction(x) * y for x, y in zip(a, b)), Fraction(0))
 
 
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def is_zero(a) -> bool:
     return all(x == 0 for x in a)
 
@@ -207,52 +203,56 @@ def primitive_direction(v) -> tuple[tuple[int, ...], Fraction]:
     return d, Fraction(g, denom)
 
 
+def eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan (Bareiss 1968) of integer rows, in place.
+
+    Pivots on the first ``ncols`` columns only.  With p the new pivot and prev
+    the last (1 at first), each other row becomes (p * row - row[col] *
+    pivot_row) // prev, an exact division.  Returns ``(pivots, p)``: the first
+    rows carry the pivots, which all end equal to p, so ``rows / p`` is the
+    reduced row echelon form; the other rows are zero on the first ncols.
+    """
+    pivots, p = [], 1
+    for col in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        pivot, prev, p = rows[r], p, rows[r][col]
+        for i, row in enumerate(rows):
+            if i != r:
+                e = row[col]
+                rows[i] = [(p * x - e * y) // prev for x, y in zip(row, pivot)]
+        pivots.append(col)
+    return pivots, p
+
+
 def solve_affine(rows, rhs, ncols):
     """Solve the exact linear system rows . x = rhs for x of length ncols.
 
     Returns ``(particular, nullspace_basis)`` or None when inconsistent.
     ``nullspace_basis`` is a (possibly empty) list of vectors spanning the
-    solution space of the homogeneous system.
+    solution space of the homogeneous system.  Both are read off one
+    ``eliminate`` of the equations scaled to integers.
     """
     aug = []
     for row, b in zip(rows, rhs):
         row = vec(row)
         if len(row) != ncols:
             raise DimensionMismatch("solve_affine: row of wrong length")
-        aug.append(list(row) + [rat(b)])
-    n_rows = len(aug)
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, n_rows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(n_rows):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
-            break
-    for i in range(r, n_rows):
-        if aug[i][ncols] != 0:
-            return None
-    particular = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        particular[col] = aug[i][ncols]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            v[col] = -aug[i][fc]
-        basis.append(tuple(v))
-    return tuple(particular), basis
+        aug.append(scaled_point((*row, b))[0])
+    pivots, p = eliminate(aug, ncols)
+    if any(row[ncols] for row in aug[len(pivots) :]):
+        return None
+
+    def column(c, sign):  # x[c] = 1 for c < ncols, x[pivot_i] = sign * aug[i][c] / p
+        x = [Fraction(c == j) for j in range(ncols)]
+        for row, col in zip(aug, pivots):
+            x[col] = Fraction(sign * row[c], p)
+        return tuple(x)
+
+    return column(ncols, 1), [column(c, -1) for c in range(ncols) if c not in pivots]
 
 
 def rank(rows) -> int:

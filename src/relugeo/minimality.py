@@ -13,8 +13,9 @@ finds J, J(m) and J(m, m') by meet in the middle over integer sums, with no
 linear solve per pattern, and the families take a_sigma and b_sigma as
 integer rows from running sums (``_corrections``).  One construction,
 ``_split_family``, builds the exact, duplicated-breakline and duplicated-pair
-families: split an opposite neuron off 0, 1 or 2 terms, with kinks read off
-a_sigma by one Cramer formula per direction group.
+families: split an opposite neuron off 0, 1 or 2 terms.  The elimination of a
+direction group (``_span``) gives the kernel's integer normals and the rows
+that read the split kinks off a_sigma.
 
 The brute-force oracle at the bottom re-derives the minimal width by direct
 search over neuron-to-breakline assignments and exact linear solving, without
@@ -36,7 +37,8 @@ from .errors import (
     EnumerationCapExceeded,
     EqualDirections,
 )
-from .exact import is_zero, primitive_direction, primitive_row, rat, scaled_point, solve_affine, vec
+from .exact import eliminate, is_zero, primitive_direction, primitive_row, rat, scaled_point
+from .exact import solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron
 
 DEFAULT_CAP = 24
@@ -89,13 +91,28 @@ def _half_sums(start, steps):
     return halves
 
 
+def _span(gens, d0):
+    """(reads, p, normals) from one ``exact.eliminate`` of [gens^T | I], each
+    generator scaled to an integer row.  The rows past the rank give the
+    integer ``normals`` of span(gens).  The rank rows give ``reads``: for
+    independent gens, a = sum c_i * gens_i has c_i = reads[i] . a / p.
+    """
+    gens = [scaled_point(g)[0] for g in gens]
+    if any(len(g) != d0 for g in gens):
+        raise DimensionMismatch("solve_affine: row of wrong length")
+    k = len(gens)
+    rows = [[*(g[c] for g in gens), *(int(i == c) for i in range(d0))] for c in range(d0)]
+    pivots, p = eliminate(rows, k)
+    return [r[k:] for r in rows[: len(pivots)]], p, [r[k:] for r in rows[len(pivots) :]]
+
+
 def _span_patterns(cf, gens, cap):
     """All sign patterns, in product order, whose a_sigma lies in span(gens).
 
     a_sigma is the affine part plus kink*direction over the terms with
     sigma_i = -1; it lies in the span iff its projection onto the span's
-    normals vanishes.  The test is homogeneous, so it runs in integers: the
-    affine part and kinks over their common denominator, the normals scaled.
+    integer normals (``_span``) vanishes.  The test is homogeneous, so it runs
+    in integers, the affine part and kinks over their common denominator.
     That is a subset sum, solved by meet in the middle (Horowitz-Sahni): tail
     sums are bucketed by their negation and each head sum looks itself up.
     """
@@ -103,8 +120,7 @@ def _span_patterns(cf, gens, cap):
     gens = [tuple(g) for g in gens]
     if len(set(gens)) < len(gens):
         raise EqualDirections("the two directions must differ")
-    _, normals = solve_affine(gens, [0] * len(gens), cf.d0)
-    normals = [scaled_point(w)[0] for w in normals]
+    *_, normals = _span(gens, cf.d0)
     scaled, _ = scaled_point(cf.affine + cf.kinks)
     # a normal has d0 entries, so zip stops before the kinks in ``scaled``
     proj = lambda v, k=1: tuple(k * sum(map(mul, w, v)) for w in normals)
@@ -159,22 +175,7 @@ def _corrections(cf):
     return m, correction
 
 
-def _split_read_off(ms, m):
-    """a -> the deltas with a = m * sum of delta_i * ms[i], for a in span(ms),
-    by Cramer's rule on one nonzero minor of the directions (distinct, hence
-    independent), fixed per group: the first nonzero entry of one direction,
-    or the first nonzero 2x2 minor of two."""
-    if len(ms) < 2:
-        p = next(i for i, e in enumerate(ms[0]) if e) if ms else 0
-        return lambda a: tuple(Fraction(a[p], m * d[p]) for d in ms)
-    u, v = ms
-    cross = lambda x, y, p, q: x[p] * y[q] - x[q] * y[p]
-    p, q = next(r for r in combinations(range(len(u)), 2) if cross(u, v, *r))
-    det = m * cross(u, v, p, q)
-    return lambda a: (Fraction(cross(a, v, p, q), det), Fraction(cross(u, a, p, q), det))
-
-
-def _split_family(cf, kind, sigma, js, read_off, correction, oriented):
+def _split_family(cf, kind, sigma, js, reads, den, correction, oriented):
     """The form's terms with orientations sigma, each term in js split in two.
 
     a_sigma = sum of delta_j * direction_j over js; term j keeps orientation
@@ -183,7 +184,7 @@ def _split_family(cf, kind, sigma, js, read_off, correction, oriented):
     ``oriented[i][s]``, term i with orientation s, is shared by all families.
     """
     a_sigma, b_sigma = correction(sigma)
-    deltas = read_off(a_sigma)
+    deltas = [Fraction(sum(map(mul, r, a_sigma)), den) for r in reads]  # den = m * p, see _span
     neurons = list(map(dict.__getitem__, oriented, sigma))
     for j, delta in zip(js, deltas):  # sigma_j = 1 on every split term
         bl, k = cf.terms[j]
@@ -238,11 +239,11 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
         families = [_fresh_line_family(s, correction, scale, r_values, oriented) for s in patterns]
         for ms in groups:
             hits = (compute_J, compute_J_single, compute_J_pair)[len(ms)](cf, *ms, cap=cap)
-            read_off = _split_read_off(ms, scale)
+            reads, p, _ = _span(ms, cf.d0) if hits else ((), 1, ())  # no hits, no splits
             on_ms = ([i for i, bl in enumerate(cf.breaklines) if bl.direction == m] for m in ms)
             for js in product(*on_ms):
                 families.extend(
-                    _split_family(cf, kind, sigma, js, read_off, correction, oriented)
+                    _split_family(cf, kind, sigma, js, reads, scale * p, correction, oriented)
                     for sigma in hits
                     if all(sigma[j] == 1 for j in js)
                 )

@@ -280,8 +280,8 @@ def evaluator(e: PWAExpr):
     Leaves of different dimensions raise DimensionMismatch here, a point of
     the wrong length raises it on each call.
     """
-    num, m, _ = _compile(e)
-    return compiled(num, m, expr_dim(e), "leaf")
+    num, m, flat = _compile(e)
+    return compiled(num or relu_sum(*flat), m, expr_dim(e), "leaf")
 
 
 def eval_pwa(e: PWAExpr, x) -> Fraction:
@@ -291,21 +291,22 @@ def eval_pwa(e: PWAExpr, x) -> Fraction:
 def _compile(e):
     """(num, m, flat) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0.
 
-    ``flat`` is the integer triple (row, c, relus) with num == relu_sum(row,
-    c, relus) when every Relu and Max/Min argument in the subtree is affine,
-    else the NotFlat message of the first that is not.  Built bottom up: an
-    Affine leaf is one row over the lcm of its denominators and no relus,
-    relu(a) one relu on a zero row, max(a, b) b + relu(a - b) and min(a, b)
-    a - relu(a - b); Scale and Neg multiply row, c and each k, and a Sum adds
-    its flat children's triples at the common m, then its other children.
+    ``flat`` is the integer triple (row, c, relus) when every Relu and Max/Min
+    argument in the subtree is affine, and num is then None (a caller that
+    evaluates it builds relu_sum(*flat)), else the NotFlat message of the
+    first that is not.  Built bottom up: an Affine leaf is one row over the lcm
+    of its denominators and no relus, relu(a) one relu on a zero row, max(a, b)
+    b + relu(a - b) and min(a, b) a - relu(a - b); Scale and Neg multiply row,
+    c and each k, and a Sum adds its flat children's triples at the common m.
     """
     if isinstance(e, Affine):
         (*row, c), m = scaled_point((*e.coeffs, e.const))
-        return _flat((tuple(row), c, ()), m)
+        return None, m, (tuple(row), c, ())
     if isinstance(e, Relu):
         child, m, flat = _compile(e.child)
         if _affine(flat):
-            return _flat(((0,) * len(flat[0]), 0, ((*flat[:2], 1),)), m)
+            return None, m, ((0,) * len(flat[0]), 0, ((*flat[:2], 1),))
+        child = child or relu_sum(*flat)
         return (lambda X, D: max(child(X, D), 0)), m, "relu argument is not affine"
     if isinstance(e, (Max, Min)):
         [(left, wl, fl), (right, wr, fr)], m = _common((e.left, e.right))
@@ -313,7 +314,8 @@ def _compile(e):
             (a, ca, _), (b, cb, _) = _scaled(fl, wl), _scaled(fr, wr)
             diff = tuple(x - y for x, y in zip(a, b)), ca - cb
             flat = (b, cb, ((*diff, 1),)) if isinstance(e, Max) else (a, ca, ((*diff, -1),))
-            return _flat(flat, m)
+            return None, m, flat
+        left, right = left or relu_sum(*fl), right or relu_sum(*fr)
         pick = max if isinstance(e, Max) else min
         num = lambda X, D: pick(wl * left(X, D), wr * right(X, D))
         return num, m, "max/min argument is not affine"
@@ -324,7 +326,7 @@ def _compile(e):
         flat = tuple(map(sum, zip(*rows))), sum(cs), sum(relus, ())
         kinked = [(part, w, flat) for part, w, flat in parts if isinstance(flat, str)]
         if not kinked:
-            return _flat(flat, m)
+            return None, m, flat
         flat_num = relu_sum(*flat)  # the flat children in one loop, the rest one by one
         num = lambda X, D: flat_num(X, D) + sum(w * part(X, D) for part, w, _ in kinked)
         return num, m, kinked[0][2]
@@ -333,13 +335,8 @@ def _compile(e):
         p, q = rat_parts(e.factor) if isinstance(e, Scale) else (-1, 1)
         if isinstance(flat, str):
             return (lambda X, D: p * child(X, D)), m * q, flat
-        return _flat(_scaled(flat, p), m * q)
+        return None, m * q, _scaled(flat, p)
     raise TypeError(f"not a PWA expression: {e!r}")
-
-
-def _flat(flat, m):
-    """The (num, m, flat) result of a flat subtree."""
-    return relu_sum(*flat), m, flat
 
 
 def _affine(flat):

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb, lcm
+from operator import sub
 
 from .errors import CapExceeded, NotLocallyAffine, NotRepresentable, NotTransversal
-from .exact import compiled, dot, is_zero, primitive_direction, rat, solve_affine, vec, vsub
+from .exact import compiled, dot, is_zero, primitive_direction, rat, relu_sum, solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
 from .pwa import PWASpec, _compile, _read_flat, expr_dim
 
@@ -31,9 +32,9 @@ _MAX_BREAKLINES = 20
 
 # Work check_transversality may do: one solve_affine per subset, k^2 * d0
 # units for a subset of size k.  Measured in process (Python 3.11, 2-CPU
-# shared x86-64 host) at 3.2 to 5.7 us per unit from d0 = 3 to 20, so the cap
-# is about 2 s: 20 breaklines in d0 = 3 are 265,620 units (0.9 to 1.5 s), 16
-# in d0 = 4 are 575,360 (1.9 to 2.5 s).
+# shared x86-64 host) at 0.9 to 2.3 us per unit from d0 = 3 to 20, so the cap
+# is 0.3 to 0.8 s, about 4 times below the 2 s it was sized for: 20 breaklines
+# in d0 = 3 are 265,620 units (0.44 s), 16 in d0 = 4 are 575,360 (0.76 s).
 _MAX_WORK = 350_000
 
 # Times jump_vector halves its step before giving up.
@@ -146,7 +147,7 @@ def jump_vector(f, bl: Breakline, x, step=Fraction(1)):
                 break
             grads.append(fit[0])
         else:
-            return vsub(grads[0], grads[1])
+            return tuple(map(sub, *grads))
         step /= 2
     raise NotLocallyAffine(
         f"no consistent affine fit adjacent to breakline {bl.direction}={bl.offset} at {x}"
@@ -260,7 +261,7 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int =
     A flat spec with a kink off its declared breaklines raises the measuring
     path's error, or MissingBreakline where that path returns a network.
     """
-    num, m, flat = _compile(spec.expr)
+    num, m, flat = _compile(spec.expr)  # num is None for a flat spec
     auto = spec.breaklines == "auto"
     form = _read_flat(m, flat) if auto or not isinstance(flat, str) else None
     breaklines = list(form[0] if auto else spec.breaklines)
@@ -270,7 +271,8 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int =
             raise NotTransversal(violation)
         if form is not None and (result := _read_off(form, breaklines, d0)) is not None:
             return result
-    net = synthesize_evaluator(compiled(num, m, d0, "leaf"), breaklines, d0, seed, False, n_verify)
+    f = compiled(num or relu_sum(*flat), m, d0, "leaf")
+    net = synthesize_evaluator(f, breaklines, d0, seed, False, n_verify)
     # the flat form is f exactly, so a kink off the declared breaklines that
     # the sampled check missed is still there
     if form and (missing := [bl for bl, k in form[0].items() if k and bl not in breaklines]):
