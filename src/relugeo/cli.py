@@ -33,7 +33,7 @@ from .synthesis import check_transversality, synthesize
 
 # Bounds of `random` from measured cost: a 100 x 1000 net takes about 0.9 s;
 # no seed tried with --bound 8 needed more than 6 --transversal attempts, and
-# one attempt costs one check_transversality (1.4 s at d0 = 3, d1 = 20).
+# one attempt costs one check_transversality (0.06 s at d0 = 3, d1 = 20).
 _MAX_RANDOM_WEIGHTS = 100_000
 _MAX_RANDOM_ATTEMPTS = 20
 

@@ -15,8 +15,9 @@ the evaluator as its ``kernel``; ``relu_sum`` is the one such function for
 expressions, tuples, forms and nets.
 
 There is one elimination routine, ``eliminate``: fraction-free Gauss-Jordan on
-integer rows.  ``solve_affine`` reads its particular solution and null space
-off it, and ``rank`` and ``in_span`` read theirs off ``solve_affine``.
+integer rows.  ``minimality._span`` and ``synthesis.check_transversality``
+read it directly; ``solve_affine`` reads its particular solution and null
+space off it, and ``rank``, ``in_span`` and ``affine_fit`` read ``solve_affine``.
 """
 
 from __future__ import annotations

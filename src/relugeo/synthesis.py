@@ -4,10 +4,12 @@ Under the transversality condition (breaklines through any common point have
 linearly independent normals) the gradient jump across a breakline, at any
 point of it off the other breaklines, is kink * normal of the one term on
 that breakline, and what is left is affine: a cancelling pair of neurons
-(``affine_pair``), for at most n+2 in all.  ``synthesize`` compiles a spec
-once (``pwa._compile``), and a flat spec whose kinked terms all lie on
-declared breaklines is read off that compile in closed form.  Any other
-exact evaluator is measured: each kink by exact affine interpolation on
+(``affine_pair``), for at most n+2 in all.  ``check_transversality`` scales
+each breakline to an integer row once and runs one ``exact.eliminate`` per
+subset; only a violating subset is solved for its point.  ``synthesize``
+compiles a spec once (``pwa._compile``), and a flat spec whose kinked terms
+all lie on declared breaklines is read off that compile in closed form.  Any
+other exact evaluator is measured: each kink by exact affine interpolation on
 small simplices either side of its breakline, then the remainder by one fit,
 then f == response on sampled points X / D through integer numerators (a
 compiled f's ``kernel``; a black box is lifted to f(X / D) * D).
@@ -22,19 +24,21 @@ from itertools import combinations, count, product
 from math import comb, lcm
 from operator import sub
 
-from .errors import CapExceeded, NotLocallyAffine, NotRepresentable, NotTransversal
-from .exact import compiled, dot, is_zero, primitive_direction, rat, relu_sum, solve_affine, vec
+from .errors import CapExceeded, DimensionMismatch, NotLocallyAffine, NotRepresentable
+from .errors import NotTransversal
+from .exact import compiled, dot, eliminate, is_zero, primitive_direction, rat, relu_sum
+from .exact import scaled_point, solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
 from .pwa import PWASpec, _compile, _read_flat, expr_dim
 
 # Most breaklines check_transversality takes, before any work is counted.
 _MAX_BREAKLINES = 20
 
-# Work check_transversality may do: one solve_affine per subset, k^2 * d0
-# units for a subset of size k.  Measured in process (Python 3.11, 2-CPU
-# shared x86-64 host) at 0.9 to 2.3 us per unit from d0 = 3 to 20, so the cap
-# is 0.3 to 0.8 s, about 4 times below the 2 s it was sized for: 20 breaklines
-# in d0 = 3 are 265,620 units (0.44 s), 16 in d0 = 4 are 575,360 (0.76 s).
+# Work check_transversality may do: one integer elimination per subset, k^2 *
+# d0 units for a subset of size k.  Measured in process (Python 3.11, 2-CPU
+# shared x86-64 host, min of 3) at 0.15 to 0.23 us per unit from d0 = 3 to 12,
+# so the cap is 0.05 to 0.08 s, over 20 times below the 2 s it was sized for:
+# 20 breaklines in d0 = 3 are 265,620 units (61 ms), 10 in d0 = 12 337,800 (50 ms).
 _MAX_WORK = 350_000
 
 # Times jump_vector halves its step before giving up.
@@ -55,7 +59,8 @@ def check_transversality(breaklines):
     d0+1 members (dropping its last member leaves an independent family), so
     only subsets up to that size are examined.  More than ``_MAX_BREAKLINES``
     breaklines, or more than ``_MAX_WORK`` units of work (k^2 * d0 per subset
-    of size k), raise CapExceeded.
+    of size k), raise CapExceeded; mixed dimensions raise DimensionMismatch.
+    Each subset is one ``eliminate`` of its breaklines' integer rows.
     """
     breaklines = list(breaklines)
     n = len(breaklines)
@@ -68,14 +73,18 @@ def check_transversality(breaklines):
     work = sum(comb(n, size) * size * size * d0 for size in sizes)
     if work > _MAX_WORK:
         raise CapExceeded(f"{work} units of work exceed the transversality cap of {_MAX_WORK}")
+    if (dims := {bl.d0 for bl in breaklines}) != {d0}:
+        raise DimensionMismatch(f"breaklines of dimensions {sorted(dims)} in one arrangement")
+    rows = [scaled_point((*bl.direction, bl.offset))[0] for bl in breaklines]  # s * (d, r)
     for size in sizes:
         for subset in combinations(range(n), size):
-            rows = [breaklines[i].direction for i in subset]
-            rhs = [breaklines[i].offset for i in subset]
-            sol = solve_affine(rows, rhs, d0)
-            # a meeting subset whose normals have rank below its size
-            if sol is not None and d0 - len(sol[1]) < size:
-                return Violation(subset, sol[0])
+            eqs = [rows[i] for i in subset]  # eliminate replaces rows, never edits one
+            pivots, _ = eliminate(eqs, d0)
+            # normals of rank below the size, and no row 0 = offset != 0: they meet
+            if len(pivots) < size and not any(row[d0] for row in eqs[len(pivots) :]):
+                bls = [breaklines[i] for i in subset]
+                point, _ = solve_affine([b.direction for b in bls], [b.offset for b in bls], d0)
+                return Violation(subset, point)
     return None
 
 
@@ -237,45 +246,35 @@ def synthesize_evaluator(
     return result
 
 
-def _read_off(form, breaklines, d0):
-    """The network of a flat expression's ``flat_form`` whose kinked term
-    breaklines are all declared, else None.  On transversal breaklines each
-    jump the measuring path finds is kink * direction and its remainder is
-    the affine part, so the result is the same."""
-    terms, affine, bias = form
-    declared = set(breaklines)
-    if not {bl for bl, k in terms.items() if k} <= declared or any(bl.d0 != d0 for bl in declared):
-        return None
-    neurons = [Neuron(bl, terms[bl], 1) for bl in breaklines if terms.get(bl)]
-    pair = affine_pair(affine, 0)[:2] if any(affine) else ()  # on {d.x = 0}: no shift
-    return EffectiveTuple((*neurons, *pair), bias)
-
-
-def synthesize(spec: PWASpec, seed: int = 0, check: bool = True, n_verify: int = 1000):
+def synthesize(spec: PWASpec, seed: int = 0, check: bool = True):
     """Synthesize a network for a parsed piecewise-affine specification.
 
     One compile gives the ``"auto"`` breaklines (NotFlat if nested) and the
-    closed-form network of a flat spec whose transversal breaklines include
-    every kinked term (``_read_off``).  Only the other specs, and every spec
-    with ``check=False``, are measured, and ``n_verify`` applies to them only.
-    A flat spec with a kink off its declared breaklines raises the measuring
-    path's error, or MissingBreakline where that path returns a network.
+    form of a flat spec.  If its transversal breaklines of dimension d0 carry
+    every kinked term, the network is read off that form: each jump the
+    measuring path finds is kink * direction and its remainder is the affine
+    part.  Only the other specs, and every spec with ``check=False``, are
+    measured.  A flat spec with a kink off its declared breaklines raises the
+    measuring path's error, or MissingBreakline where that path returns a net.
     """
     num, m, flat = _compile(spec.expr)  # num is None for a flat spec
     auto = spec.breaklines == "auto"
     form = _read_flat(m, flat) if auto or not isinstance(flat, str) else None
     breaklines = list(form[0] if auto else spec.breaklines)
     d0 = expr_dim(spec.expr)
+    # kinks of f off the declared breaklines, which the sampled check may miss
+    missing = [bl for bl, k in form[0].items() if k and bl not in breaklines] if form else []
     if check:
         if (violation := check_transversality(breaklines)) is not None:
             raise NotTransversal(violation)
-        if form is not None and (result := _read_off(form, breaklines, d0)) is not None:
-            return result
+        if form and not missing and all(bl.d0 == d0 for bl in breaklines):
+            terms, affine, bias = form
+            neurons = [Neuron(bl, terms[bl], 1) for bl in breaklines if terms.get(bl)]
+            pair = affine_pair(affine, 0)[:2] if any(affine) else ()  # on {d.x = 0}: no shift
+            return EffectiveTuple((*neurons, *pair), bias)
     f = compiled(num or relu_sum(*flat), m, d0, "leaf")
-    net = synthesize_evaluator(f, breaklines, d0, seed, False, n_verify)
-    # the flat form is f exactly, so a kink off the declared breaklines that
-    # the sampled check missed is still there
-    if form and (missing := [bl for bl, k in form[0].items() if k and bl not in breaklines]):
+    net = synthesize_evaluator(f, breaklines, d0, seed, False)
+    if missing:
         bl = missing[0]
         raise NotRepresentable("MissingBreakline", f"kink on {list(bl.direction)}.x = {bl.offset}")
     return net

@@ -3,11 +3,12 @@
 ``enumerate_minimal`` reads each family's affine correction off integer rows:
 a_sigma scaled by the kink and affine denominators, b_sigma by the bias and
 kink * offset ones, summed per half of the terms.  The split kinks come from
-one Cramer formula per direction group and an extra breakline's direction
-from the integer row.  The reference here is the per-family construction
-those replace: one ``sigma_affine``, one ``in_span`` and one ``affine_pair``
-per family, with the hits found by the per-pattern loop.  Both must give the
-same families, in the same order, with equal Fractions.
+the rank rows of one elimination per direction group (``minimality._span``)
+and an extra breakline's direction from the integer row.  The reference here
+is the per-family construction those replace: one ``sigma_affine``, one
+``in_span`` and one ``affine_pair`` per family, with the hits found by the
+per-pattern loop.  Both must give the same families, in the same order,
+with equal Fractions.
 """
 
 from fractions import Fraction
