@@ -240,4 +240,5 @@ def dumps(data) -> str:
             out.append(json.dumps(o))
 
     emit(data, "\n")
+    del emit  # emit holds itself through its cell: without this, out waits for the gc
     return "".join(out)

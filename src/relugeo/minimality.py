@@ -8,14 +8,16 @@ explicit construction of every minimal representation modulo neuron
 permutation, plus the dimension and connected-component count of the manifold
 of raw networks realizing the function.
 
-Per pattern, everything runs in integers.  One kernel, ``_span_patterns``,
-finds J, J(m) and J(m, m') by meet in the middle over integer sums, with no
-linear solve per pattern, and the families take a_sigma and b_sigma as
-integer rows from running sums (``_corrections``).  One construction,
-``_split_family``, builds the exact, duplicated-breakline and duplicated-pair
-families: split an opposite neuron off 0, 1 or 2 terms.  The elimination of a
-direction group (``_span``) gives the kernel's integer normals and the rows
-that read the split kinks off a_sigma.
+Per pattern, everything runs in integers.  Per form, ``_corrections`` builds
+one table: running sums of (m * a_sigma, m_b * b_sigma) over each half of the
+terms.  Per direction group (), (m,) or (m, m'), one elimination (``_span``)
+gives the span's integer normals and the rows that read the split kinks off
+a_sigma, and one kernel, ``_span_patterns``, projects the table onto the
+normals and finds J, J(m) or J(m, m') by meet in the middle, with no linear
+solve per pattern; ``compute_J``, ``compute_J_single`` and ``compute_J_pair``
+are public reads of it.  One construction, ``_split_family``, builds the
+exact, duplicated-breakline and duplicated-pair families: split an opposite
+neuron off 0, 1 or 2 terms.
 
 The brute-force oracle at the bottom re-derives the minimal width by direct
 search over neuron-to-breakline assignments and exact linear solving, without
@@ -31,12 +33,7 @@ from math import factorial
 from operator import add, mul, neg
 
 from .canonical import CanonicalForm, canonicalize
-from .errors import (
-    CapExceeded,
-    DimensionMismatch,
-    EnumerationCapExceeded,
-    EqualDirections,
-)
+from .errors import CapExceeded, DimensionMismatch, EnumerationCapExceeded, EqualDirections
 from .exact import eliminate, is_zero, primitive_direction, primitive_row, rat, scaled_point
 from .exact import solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron
@@ -78,19 +75,6 @@ def _check_cap(n, cap):
         raise EnumerationCapExceeded(n, cap)
 
 
-def _half_sums(start, steps):
-    """Running sums, {pattern: sum} in product order, over each half of the
-    steps: start plus the steps at sigma's -1 entries is head[sigma[:h]] +
-    tail[sigma[h:]], h = len(steps) // 2.  A level adds one step to each sum."""
-    h = len(steps) // 2
-    halves = []
-    for level, part in (([start], steps[:h]), ([(0,) * len(start)], steps[h:])):
-        for step in part:
-            level = [t for s in level for t in (s, tuple(map(add, s, step)))]
-        halves.append(dict(zip(product((1, -1), repeat=len(part)), level)))
-    return halves
-
-
 def _span(gens, d0):
     """(reads, p, normals) from one ``exact.eliminate`` of [gens^T | I], each
     generator scaled to an integer row.  The rows past the rank give the
@@ -106,45 +90,46 @@ def _span(gens, d0):
     return [r[k:] for r in rows[: len(pivots)]], p, [r[k:] for r in rows[len(pivots) :]]
 
 
-def _span_patterns(cf, gens, cap):
-    """All sign patterns, in product order, whose a_sigma lies in span(gens).
+def _span_patterns(halves, normals):
+    """All sign patterns, in product order, with a_sigma orthogonal to ``normals``.
 
-    a_sigma is the affine part plus kink*direction over the terms with
-    sigma_i = -1; it lies in the span iff its projection onto the span's
-    integer normals (``_span``) vanishes.  The test is homogeneous, so it runs
-    in integers, the affine part and kinks over their common denominator.
+    a_sigma lies in a group's span iff it projects to zero on the span's
+    normals (``_span``).  The test is homogeneous, so it projects the form's
+    integer running sums of m * a_sigma (``_corrections``): heads and tails.
     That is a subset sum, solved by meet in the middle (Horowitz-Sahni): tail
     sums are bucketed by their negation and each head sum looks itself up.
     """
+    # a normal has d0 entries, so zip stops before the bias column
+    proj = lambda v: tuple(sum(map(mul, w, v)) for w in normals)
+    buckets = {}
+    for tail, s in halves[1].items():
+        buckets.setdefault(tuple(map(neg, proj(s))), []).append(tail)
+    return [head + tail for head, s in halves[0].items() for tail in buckets.get(proj(s), ())]
+
+
+def _scan(cf, gens, cap):
+    """``_span_patterns`` of span(gens), after the cap and distinct-directions checks."""
     _check_cap(cf.n, cap)
     gens = [tuple(g) for g in gens]
     if len(set(gens)) < len(gens):
         raise EqualDirections("the two directions must differ")
     *_, normals = _span(gens, cf.d0)
-    scaled, _ = scaled_point(cf.affine + cf.kinks)
-    # a normal has d0 entries, so zip stops before the kinks in ``scaled``
-    proj = lambda v, k=1: tuple(k * sum(map(mul, w, v)) for w in normals)
-    steps = [proj(bl.direction, k) for bl, k in zip(cf.breaklines, scaled[cf.d0 :])]
-    heads, tails = _half_sums(proj(scaled), steps)
-    buckets = {}
-    for tail, s in tails.items():
-        buckets.setdefault(tuple(map(neg, s)), []).append(tail)
-    return [head + tail for head, s in heads.items() for tail in buckets.get(s, ())]
+    return _span_patterns(_corrections(cf)[1], normals)
 
 
 def compute_J(cf: CanonicalForm, cap: int = DEFAULT_CAP):
     """All orientation patterns with vanishing affine correction."""
-    return _span_patterns(cf, [], cap)
+    return _scan(cf, [], cap)
 
 
 def compute_J_single(cf: CanonicalForm, m, cap: int = DEFAULT_CAP):
     """All patterns whose affine correction lies on the line spanned by m."""
-    return _span_patterns(cf, [m], cap)
+    return _scan(cf, [m], cap)
 
 
 def compute_J_pair(cf: CanonicalForm, m, m2, cap: int = DEFAULT_CAP):
     """All patterns whose affine correction lies in the span of m and m2."""
-    return _span_patterns(cf, [m, m2], cap)
+    return _scan(cf, [m, m2], cap)
 
 
 def verify_representation(cf: CanonicalForm, t: EffectiveTuple) -> bool:
@@ -155,24 +140,32 @@ def verify_representation(cf: CanonicalForm, t: EffectiveTuple) -> bool:
 
 
 def _corrections(cf):
-    """(m, sigma -> (m * a_sigma, b_sigma)) with m * a_sigma an integer row.
+    """(m, halves, correction): the form's one table of integer running sums.
 
     m is the lcm of the kink and affine denominators and m_b that of the bias
     and each kink * offset, so (m * a_sigma, m_b * b_sigma) is the integer
     affine part and bias plus an integer step per term with sigma_i = -1.
+    ``halves`` = (heads, tails) holds the sums over each half of the steps,
+    {pattern: sum} in product order, so that with h = n // 2 the row is
+    heads[sigma[:h]] + tails[sigma[h:]]; a level adds one step to each sum.
+    ``correction(sigma)`` reads (m * a_sigma, b_sigma) off them.
     """
     scaled, m = scaled_point(cf.affine + cf.kinks)
     (bias, *kq), m_b = scaled_point((cf.bias, *(k * bl.offset for bl, k in cf.terms)))
     rows = zip(cf.breaklines, scaled[cf.d0 :], kq)
     steps = [(*(k * e for e in bl.direction), -c) for bl, k, c in rows]
-    heads, tails = _half_sums((*scaled[: cf.d0], bias), steps)
     h = cf.n // 2
+    halves = []
+    for level, part in (([(*scaled[: cf.d0], bias)], steps[:h]), ([(0,) * (cf.d0 + 1)], steps[h:])):
+        for step in part:
+            level = [t for s in level for t in (s, tuple(map(add, s, step)))]
+        halves.append(dict(zip(product((1, -1), repeat=len(part)), level)))
 
     def correction(sigma):
-        *a, b = map(add, heads[sigma[:h]], tails[sigma[h:]])
+        *a, b = map(add, halves[0][sigma[:h]], halves[1][sigma[h:]])
         return a, Fraction(b, m_b)
 
-    return m, correction
+    return m, halves, correction
 
 
 def _split_family(cf, kind, sigma, js, reads, den, correction, oriented):
@@ -215,18 +208,19 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
 
     Cases I, II and III ask the same question of the direction groups (),
     (m,) and (m, m'): which patterns put a_sigma in their span, and which
-    terms on those directions can be split.  The first case with a family
-    wins.  The extra-breakline families of case III are infinite (one tuple
-    per offset); they are instantiated at the caller-supplied ``r_samples``,
-    each distinct offset once, in order of first appearance.
+    terms on those directions can be split.  Each group is eliminated once
+    and its hits read off the form's one table.  The first case with a
+    family wins.  The extra-breakline families of case III are infinite (one
+    tuple per offset); they are instantiated at the caller-supplied
+    ``r_samples``, each distinct offset once, in order of first appearance.
     """
     _check_cap(cf.n, cap)
     r_values = tuple(dict.fromkeys(rat(r) for r in r_samples))
     if cf.is_affine() and is_zero(cf.affine):
         return []
 
-    scale, correction = _corrections(cf)
-    dirs = sorted({bl.direction for bl in cf.breaklines})
+    scale, halves, correction = _corrections(cf)
+    dirs = sorted({bl.direction for bl in cf.breaklines})  # distinct, so no group repeats one
     oriented = [{s: Neuron(b, k, s) for s in (1, -1)} for b, k in cf.terms]
     cases = (
         (KIND_EXACT, [()]),
@@ -238,8 +232,8 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
         patterns = product((1, -1), repeat=cf.n) if kind == KIND_PAIR else ()
         families = [_fresh_line_family(s, correction, scale, r_values, oriented) for s in patterns]
         for ms in groups:
-            hits = (compute_J, compute_J_single, compute_J_pair)[len(ms)](cf, *ms, cap=cap)
-            reads, p, _ = _span(ms, cf.d0) if hits else ((), 1, ())  # no hits, no splits
+            reads, p, normals = _span(ms, cf.d0)
+            hits = _span_patterns(halves, normals)
             on_ms = ([i for i, bl in enumerate(cf.breaklines) if bl.direction == m] for m in ms)
             for js in product(*on_ms):
                 families.extend(

@@ -365,9 +365,12 @@ def flat_form(e: PWAExpr):
     (d, g) = primitive_row(r), is kink k |g| / m on Breakline(d, -s / g), plus
     its argument when g < 0, as (-t)_+ = t_+ - t.  ``terms`` maps each
     breakline, in order of first appearance, to its summed kink, zero included.
+    Leaves of different dimensions raise DimensionMismatch (``expr_dim``).
     """
     _, m, flat = _compile(e)
-    return _read_flat(m, flat)
+    form = _read_flat(m, flat)
+    expr_dim(e)
+    return form
 
 
 def _read_flat(m, flat):

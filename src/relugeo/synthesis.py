@@ -143,10 +143,12 @@ def jump_vector(f, bl: Breakline, x, step=Fraction(1)):
     by affine interpolation at two scales; the scales must agree exactly,
     otherwise the step is halved, at most ``_HALVINGS`` times.  All probe
     points stay strictly on their side of bl because the step in the normal
-    direction dominates the simplex radius.
+    direction dominates the simplex radius.  A step that is not positive
+    raises ValueError.
     """
     x = vec(x)
-    step = rat(step)
+    if (step := rat(step)) <= 0:
+        raise ValueError(f"the step must be positive, got {step}")
     for _ in range(_HALVINGS):
         grads = []
         for sign in (1, -1):
