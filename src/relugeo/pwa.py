@@ -20,6 +20,8 @@ minus adding a level, which bounds every recursive walk over a parsed tree.
 One compile, ``_compile``, evaluates an expression and finds its flat form:
 each flat subtree is one triple for ``exact.relu_sum``, the numerator of
 expressions, tuples, forms and nets alike, and ``_read_flat`` reads it off.
+Every other subtree keeps its knots, from which synthesis builds the
+hyperplanes off which it is affine.
 """
 
 from __future__ import annotations
@@ -280,7 +282,7 @@ def evaluator(e: PWAExpr):
     Leaves of different dimensions raise DimensionMismatch here, a point of
     the wrong length raises it on each call.
     """
-    num, m, flat = _compile(e)
+    num, m, flat, _ = _compile(e)
     return compiled(num or relu_sum(*flat), m, expr_dim(e), "leaf")
 
 
@@ -289,53 +291,66 @@ def eval_pwa(e: PWAExpr, x) -> Fraction:
 
 
 def _compile(e):
-    """(num, m, flat) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0.
+    """(num, m, flat, knots) with e(X / D) == num(X, D) / (m * D) for integer X and D > 0.
 
     ``flat`` is the integer triple (row, c, relus) when every Relu and Max/Min
-    argument in the subtree is affine, and num is then None (a caller that
-    evaluates it builds relu_sum(*flat)), else the NotFlat message of the
+    argument in the subtree is affine, and num and knots are then None (a caller
+    that evaluates it builds relu_sum(*flat)), else the NotFlat message of the
     first that is not.  Built bottom up: an Affine leaf is one row over the lcm
     of its denominators and no relus, relu(a) one relu on a zero row, max(a, b)
     b + relu(a - b) and min(a, b) a - relu(a - b); Scale and Neg multiply row,
     c and each k, and a Sum adds its flat children's triples at the common m.
+
+    ``knots`` of a subtree that is not flat is the pair (triples, args) off
+    whose hyperplanes it is affine: the kinked breaklines of each flat triple,
+    and for each relu argument that is not affine (a - b for max and min) as
+    a compile (num, m, flat, knots) of its own, its hyperplanes plus the zero
+    set of its affine piece on each of their cells (``synthesis`` reads them).
     """
     if isinstance(e, Affine):
         (*row, c), m = scaled_point((*e.coeffs, e.const))
-        return None, m, (tuple(row), c, ())
+        return None, m, (tuple(row), c, ()), None
     if isinstance(e, Relu):
-        child, m, flat = _compile(e.child)
+        child, m, flat, knots = _compile(e.child)
         if _affine(flat):
-            return None, m, ((0,) * len(flat[0]), 0, ((*flat[:2], 1),))
+            return None, m, ((0,) * len(flat[0]), 0, ((*flat[:2], 1),)), None
         child = child or relu_sum(*flat)
-        return (lambda X, D: max(child(X, D), 0)), m, "relu argument is not affine"
+        num = lambda X, D: max(child(X, D), 0)
+        return num, m, "relu argument is not affine", ((), ((child, m, flat, knots),))
     if isinstance(e, (Max, Min)):
-        [(left, wl, fl), (right, wr, fr)], m = _common((e.left, e.right))
+        [(left, wl, fl, kl), (right, wr, fr, kr)], m = _common((e.left, e.right))
         if _affine(fl) and _affine(fr):
             (a, ca, _), (b, cb, _) = _scaled(fl, wl), _scaled(fr, wr)
             diff = tuple(x - y for x, y in zip(a, b)), ca - cb
             flat = (b, cb, ((*diff, 1),)) if isinstance(e, Max) else (a, ca, ((*diff, -1),))
-            return None, m, flat
+            return None, m, flat, None
         left, right = left or relu_sum(*fl), right or relu_sum(*fr)
-        pick = max if isinstance(e, Max) else min
+        pick, base = (max, (fr, kr)) if isinstance(e, Max) else (min, (fl, kl))
         num = lambda X, D: pick(wl * left(X, D), wr * right(X, D))
-        return num, m, "max/min argument is not affine"
+        what = "max/min argument is not affine"
+        diff = lambda X, D: wl * left(X, D) - wr * right(X, D)
+        if kl is None and kr is None:  # a - b of flat a and b is one triple
+            arg = diff, m, _sum([_scaled(fl, wl), _scaled(fr, -wr)]), None
+        else:
+            arg = diff, m, what, _knots([(fl, kl), (fr, kr)])
+        triples, args = _knots([base])
+        return num, m, what, (triples, (*args, arg))
     if isinstance(e, Sum):
         parts, m = _common(e.children)
-        flats = [_scaled(flat, w) for _, w, flat in parts if not isinstance(flat, str)]
-        rows, cs, relus = zip(*flats) if flats else ((), (), ())
-        flat = tuple(map(sum, zip(*rows))), sum(cs), sum(relus, ())
-        kinked = [(part, w, flat) for part, w, flat in parts if isinstance(flat, str)]
+        flat = _sum([_scaled(flat, w) for _, w, flat, _ in parts if not isinstance(flat, str)])
+        kinked = [part for part in parts if isinstance(part[2], str)]
         if not kinked:
-            return None, m, flat
+            return None, m, flat, None
         flat_num = relu_sum(*flat)  # the flat children in one loop, the rest one by one
-        num = lambda X, D: flat_num(X, D) + sum(w * part(X, D) for part, w, _ in kinked)
-        return num, m, kinked[0][2]
+        pairs = [(part, w) for part, w, _, _ in kinked]
+        num = lambda X, D: flat_num(X, D) + sum(w * part(X, D) for part, w in pairs)
+        return num, m, kinked[0][2], _knots([(flat, None), *((f, k) for *_, f, k in kinked)])
     if isinstance(e, (Scale, Neg)):
-        child, m, flat = _compile(e.child)
+        child, m, flat, knots = _compile(e.child)
         p, q = rat_parts(e.factor) if isinstance(e, Scale) else (-1, 1)
         if isinstance(flat, str):
-            return (lambda X, D: p * child(X, D)), m * q, flat
-        return None, m * q, _scaled(flat, p)
+            return (lambda X, D: p * child(X, D)), m * q, flat, knots
+        return None, m * q, _scaled(flat, p), None
     raise TypeError(f"not a PWA expression: {e!r}")
 
 
@@ -350,11 +365,29 @@ def _scaled(flat, w):
     return tuple(w * a for a in row), w * c, tuple((r, s, w * k) for r, s, k in relus)
 
 
+def _sum(flats):
+    """The triple of a sum of flat triples."""
+    rows, cs, relus = zip(*flats) if flats else ((), (), ())
+    return tuple(map(sum, zip(*rows))), sum(cs), sum(relus, ())
+
+
+def _knots(parts):
+    """The knots of a sum of (flat, knots) parts: a flat part adds its triple."""
+    triples, args = [], []
+    for flat, knots in parts:
+        if knots is None:
+            triples.append(flat)
+        else:
+            triples += knots[0]
+            args += knots[1]
+    return tuple(triples), tuple(args)
+
+
 def _common(children):
-    """[(num, weight, flat) per child] and their common denominator m."""
+    """[(num, weight, flat, knots) per child] and their common denominator m."""
     compiled = [_compile(c) for c in children]
-    m = lcm(*(mc for _, mc, _ in compiled))
-    return [(num, m // mc, flat) for num, mc, flat in compiled], m
+    m = lcm(*(mc for _, mc, _, _ in compiled))
+    return [(num, m // mc, flat, knots) for num, mc, flat, knots in compiled], m
 
 
 def flat_form(e: PWAExpr):
@@ -367,7 +400,7 @@ def flat_form(e: PWAExpr):
     breakline, in order of first appearance, to its summed kink, zero included.
     Leaves of different dimensions raise DimensionMismatch (``expr_dim``).
     """
-    _, m, flat = _compile(e)
+    _, m, flat, _ = _compile(e)
     form = _read_flat(m, flat)
     expr_dim(e)
     return form

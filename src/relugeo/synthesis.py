@@ -11,8 +11,12 @@ compiles a spec once (``pwa._compile``), and a flat spec whose kinked terms
 all lie on declared breaklines is read off that compile in closed form.  Any
 other exact evaluator is measured: each kink by exact affine interpolation on
 small simplices either side of its breakline, then the remainder by one fit,
-then f == response on sampled points X / D through integer numerators (a
-compiled f's ``kernel``; a black box is lifted to f(X / D) * D).
+then f == response through integer numerators (a compiled f's ``kernel``; a
+black box is lifted to f(X / D) * D).  A nested spec decides it exactly:
+f - response is affine on every cell of the hyperplanes its compile bounds
+its pieces by and the declared ones, so ``_check_cells`` compares the two at
+d0 + 1 corners of one point per cell (``_cell_points``, a linear sweep).  A
+flat spec measured and a black box compare them on sampled points X / D.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, product
 from math import comb, lcm
-from operator import sub
+from operator import mul, sub
 
 from .errors import CapExceeded, DimensionMismatch, NotLocallyAffine, NotRepresentable
 from .errors import NotTransversal
-from .exact import compiled, dot, eliminate, is_zero, primitive_direction, rat, relu_sum
-from .exact import scaled_point, solve_affine, vec
+from .exact import compiled, dot, eliminate, is_zero, primitive_direction, primitive_row, rat
+from .exact import relu_sum, scaled_point, solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
 from .pwa import PWASpec, _compile, _read_flat, expr_dim
 
@@ -40,6 +44,14 @@ _MAX_BREAKLINES = 20
 # so the cap is 0.05 to 0.08 s, over 20 times below the 2 s it was sized for:
 # 20 breaklines in d0 = 3 are 265,620 units (61 ms), 10 in d0 = 12 337,800 (50 ms).
 _MAX_WORK = 350_000
+
+# Work the cell check of a nested spec may do (``_spend``): d^2 units per
+# eliminated d-subset, one per row per slice and per row per probed point, and
+# d0 + 1 per point for its corners.  Measured in process (Python 3.11, 2-CPU
+# shared x86-64 host) at 0.9 to 1.5 us per unit on arrangements of 8 to 25
+# hyperplanes in d0 = 1 to 3, so the cap is about 1.5 to 2.2 s; a large
+# expression costs more per unit (4.5 us for a 256-relu one in d0 = 1).
+_MAX_CELL_WORK = 1_500_000
 
 # Times jump_vector halves its step before giving up.
 _HALVINGS = 20
@@ -248,6 +260,137 @@ def synthesize_evaluator(
     return result
 
 
+def _row(bl):
+    """Breakline d . x = q as the primitive integer row (a, b) of a . x + b = 0."""
+    q = bl.offset
+    return (*(a * q.denominator for a in bl.direction), -q.numerator)
+
+
+def _spend(work, units):
+    """Add units to the cell check's running count ``work`` (a one-item list)."""
+    work[0] += units
+    if work[0] > _MAX_CELL_WORK:
+        raise CapExceeded(f"the cell check exceeds its cap of {_MAX_CELL_WORK} units of work")
+
+
+def _gaps(values):
+    """A point in each gap between the distinct values and one beyond each end (0 if none)."""
+    v = sorted(values)
+    if not v:
+        return [Fraction(0)]
+    return [v[0] - 1, *((a + b) / 2 for a, b in zip(v, v[1:])), v[-1] + 1]
+
+
+def _vertex_x1(rows, d, work):
+    """x1 of every vertex: one ``eliminate`` per d-subset of the rows (d^2 units)."""
+    _spend(work, comb(len(rows), d) * d * d)
+    xs = set()
+    for subset in combinations(rows, d):
+        eqs = [[*a, -b] for *a, b in subset]  # a . x = -b
+        pivots, p = eliminate(eqs, d)
+        if len(pivots) == d:
+            xs.add(Fraction(eqs[0][d], p))
+    return xs
+
+
+def _cell_points(rows, d, work):
+    """A rational point strictly inside every open cell of an arrangement in Q^d.
+
+    ``rows`` are integer rows (a, b) with a != 0, the hyperplanes a . x + b = 0;
+    a cell may get more than one point.  In d = 1 the points
+    are the midpoints between the sorted breakpoints and one beyond each end.
+    For d >= 2 the coordinate hyperplanes x_i = 0 join normals that do not span
+    Q^d, so every cell is pointed and each finite end of its x1-projection is
+    the x1 of a vertex; one slice x1 = c per gap between those values, and one
+    beyond each end, is swept in Q^(d-1).  ``work`` counts units against
+    ``_MAX_CELL_WORK``: d^2 per eliminated subset, one per row per slice.
+    """
+    if not rows:
+        return [(Fraction(0),) * d]
+    if d == 1:
+        _spend(work, len(rows))
+        return [(c,) for c in _gaps({Fraction(-b, a) for a, b in rows})]
+    xs = _vertex_x1(rows, d, work)
+    if not xs:  # the normals do not span Q^d
+        rows = {*rows, *(tuple(int(j == i) for j in range(d + 1)) for i in range(d))}
+        xs = _vertex_x1(rows, d, work)
+    points = []
+    for c in _gaps(xs):
+        _spend(work, len(rows))
+        cn, cd = c.numerator, c.denominator
+        # a1 * c + a' . y + b = 0 on the slice; a' = 0 misses it, c being no vertex's x1
+        cut = {
+            primitive_row((*(cd * e for e in a), cd * b + a1 * cn))[0]
+            for a1, *a, b in rows
+            if any(a)
+        }
+        points += [(c, *p) for p in _cell_points(cut, d - 1, work)]
+    return points
+
+
+def _probes(rows, d0, work):
+    """(Y, E, s) for each cell of the arrangement that ``_cell_points`` reaches.
+
+    Y / E lies strictly inside the cell, and so does (Y + s * e_i) / E for every
+    axis i: with Y and E scaled by 1 + max |a|, a step s no larger than any
+    |a . Y + b * E| / E before scaling changes no side.  Cells are told apart by
+    their sign vectors, so each is probed once.
+    """
+    rows = list(rows)
+    scale = 1 + max((abs(a) for row in rows for a in row[:-1]), default=0)
+    seen = set()
+    for x in _cell_points(rows, d0, work):
+        _spend(work, len(rows) + d0 + 1)
+        X, D = scaled_point(x)
+        sides = [sum(map(mul, row, X)) + row[-1] * D for row in rows]
+        if (key := tuple(side > 0 for side in sides)) not in seen:
+            seen.add(key)
+            yield [scale * c for c in X], scale * D, min(map(abs, sides), default=1)
+
+
+def _corners(Y, s):
+    """Y and Y + s * e_i for each axis i: d0 + 1 affinely independent points."""
+    return [Y, *([*Y[:i], y + s, *Y[i + 1 :]] for i, y in enumerate(Y))]
+
+
+def _cuts(knots, d0, work):
+    """Primitive rows (a, b) of hyperplanes a . x + b = 0 off which a subtree that
+    is not flat is affine, from its ``pwa._compile`` knots, bottom up: the
+    kinked breaklines of each flat triple; and for each argument, its own
+    hyperplanes plus the zero set of its piece on each of their cells, the
+    piece read off its numerator at the cell's corners."""
+    triples, args = knots
+    rows = {_row(bl) for flat in triples for bl, k in _read_flat(1, flat)[0].items() if k}
+    for num, _, flat, sub in args:
+        inner = _cuts(sub or ((flat,), ()), d0, work)
+        rows |= inner
+        for Y, E, s in _probes(inner, d0, work):
+            v, *steps = [num(Z, E) for Z in _corners(Y, s)]
+            grad = [(w - v) // s for w in steps]  # the piece is an integer row on the cell
+            if any(grad):
+                rows.add(primitive_row((*grad, (v - sum(map(mul, grad, Y))) // E))[0])
+    return rows
+
+
+def _check_cells(fnum, fm, net, knots, breaklines, d0):
+    """NotRepresentable("MissingBreakline") unless f == the response of net.
+
+    f - response is affine on every cell of f's hyperplanes (``_cuts``) and
+    the declared breaklines, so it is zero if and only if it vanishes at the
+    d0 + 1 corners of one probe per cell; CapExceeded past ``_MAX_CELL_WORK``.
+    """
+    work = [0]
+    rows = _cuts(knots, d0, work) | {_row(bl) for bl in breaklines}
+    rnum, rm = tuple_evaluator(net).kernel
+    for Y, E, s in _probes(rows, d0, work):
+        for Z in _corners(Y, s):
+            if fnum(Z, E) * rm != rnum(Z, E) * fm:
+                p = tuple(Fraction(z, E) for z in Z)
+                raise NotRepresentable(
+                    "MissingBreakline", f"function disagrees with the synthesized network at {p}"
+                )
+
+
 def synthesize(spec: PWASpec, seed: int = 0, check: bool = True):
     """Synthesize a network for a parsed piecewise-affine specification.
 
@@ -258,8 +401,11 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True):
     part.  Only the other specs, and every spec with ``check=False``, are
     measured.  A flat spec with a kink off its declared breaklines raises the
     measuring path's error, or MissingBreakline where that path returns a net.
+    A nested spec is measured without the sampled check, and its network is
+    checked against f exactly (``_check_cells``): MissingBreakline at a point
+    where they differ, CapExceeded past ``_MAX_CELL_WORK``.
     """
-    num, m, flat = _compile(spec.expr)  # num is None for a flat spec
+    num, m, flat, knots = _compile(spec.expr)  # num and knots are None for a flat spec
     auto = spec.breaklines == "auto"
     form = _read_flat(m, flat) if auto or not isinstance(flat, str) else None
     breaklines = list(form[0] if auto else spec.breaklines)
@@ -275,6 +421,10 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True):
             pair = affine_pair(affine, 0)[:2] if any(affine) else ()  # on {d.x = 0}: no shift
             return EffectiveTuple((*neurons, *pair), bias)
     f = compiled(num or relu_sum(*flat), m, d0, "leaf")
+    if knots is not None:
+        net = synthesize_evaluator(f, breaklines, d0, seed, False, n_verify=0)
+        _check_cells(num, m, net, knots, breaklines, d0)
+        return net
     net = synthesize_evaluator(f, breaklines, d0, seed, False)
     if missing:
         bl = missing[0]

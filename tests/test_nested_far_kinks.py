@@ -1,14 +1,16 @@
-"""Nested specs with a kink outside the sampled box (ROADMAP item 1).
+"""Nested specs with a kink far from every probe (ROADMAP item 1).
 
-A nested expression has no flat form, so ``synthesize`` can only measure it:
-jumps at points on the declared breaklines, then the residual fit and the
-sampled check, all near the origin.  A kink the spec does not declare, far
-from every probe, goes unseen and ``synth`` exits 0 with a network that
-differs from f beyond it.  The two specs below show it: at x = 2000 the first
-is 3000 while the printed network is relu(x), and the second is 1000 while
-the printed network is empty.  Those tests are strict xfails until the walk
-of ROADMAP item 1 finds such kinks; their companions declare the far
-breaklines and must synthesize f exactly.
+A nested expression has no flat form, so ``synthesize`` measures it: jumps
+at points on the declared breaklines and the residual fit, all near the
+origin.  A kink the spec does not declare, far from every probe, is seen
+only by the final check, which compares f with the network at one point of
+every cell of f's own hyperplanes and the declared ones.  A sampled check in
+a box around the origin missed the kinks below: at x = 2000 the first spec
+is 3000 while its measured network is relu(x), the second is 1000 while its
+network is empty, and at (2000, 2000) the third is 5000 while its network is
+relu(x1).  None may print a network that differs from f at its witness
+point; each must exit 1 with MissingBreakline, checked and unchecked.  Their
+companions declare the far breaklines and must synthesize f exactly.
 """
 
 import json
@@ -22,10 +24,22 @@ from relugeo.pwa import eval_pwa, parse_pwa
 
 MAX_EXPR = "max(relu(affine([1],0)) + affine([1],-1000), relu(affine([1],0)) + affine([0],0))"
 ABS_EXPR = "relu(relu(affine([1],0)) + relu(affine([-1],0)) + -1000*affine([0],1))"
+PLANE_EXPR = (
+    "max(relu(affine([1,0],0)) + affine([1,1],-1000), relu(affine([1,0],0)) + affine([0,0],0))"
+)
 
-# (expression, declared breaklines as (d, q))
-UNDECLARED = [(MAX_EXPR, [([1], "0")]), (ABS_EXPR, [])]
-DECLARED = [(MAX_EXPR, [([1], "0"), ([1], "1000")]), (ABS_EXPR, [([1], "-1000"), ([1], "1000")])]
+# (expression, declared breaklines as (d, q), witness points)
+UNDECLARED = [
+    (MAX_EXPR, [([1], "0")], [(2000,)]),
+    (ABS_EXPR, [], [(2000,)]),
+    (PLANE_EXPR, [([1, 0], "0")], [(2000, 2000)]),
+]
+DECLARED = [
+    (MAX_EXPR, [([1], "0"), ([1], "1000")], [(-2000,), (0,), (2000,)]),
+    (ABS_EXPR, [([1], "-1000"), ([1], "1000")], [(-2000,), (0,), (2000,)]),
+    (PLANE_EXPR, [([1, 0], "0"), ([1, 1], "1000")], [(-2000, 0), (0, 0), (2000, 2000), (1, 999)]),
+]
+IDS = ["max", "abs", "plane"]
 
 
 def synth(expr, declared, flags, tmp_path, capsys):
@@ -38,19 +52,33 @@ def synth(expr, declared, flags, tmp_path, capsys):
     return code, tuple_from_dict(json.loads(out)) if code == 0 else None
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 @pytest.mark.parametrize("flags", [[], ["--unchecked"]], ids=["checked", "unchecked"])
-@pytest.mark.parametrize("expr, declared", UNDECLARED, ids=["max", "abs"])
-def test_no_wrong_network_beyond_the_sampled_box(expr, declared, flags, tmp_path, capsys):
+@pytest.mark.parametrize("expr, declared, witnesses", UNDECLARED, ids=IDS)
+def test_no_wrong_network_beyond_the_sampled_box(
+    expr, declared, witnesses, flags, tmp_path, capsys
+):
     code, net = synth(expr, declared, flags, tmp_path, capsys)
-    x = (2000,)
-    assert code != 0 or evaluate_tuple(net, x) == eval_pwa(parse_pwa(expr), x)
+    for x in witnesses:
+        assert code != 0 or evaluate_tuple(net, x) == eval_pwa(parse_pwa(expr), x)
 
 
 @pytest.mark.parametrize("flags", [[], ["--unchecked"]], ids=["checked", "unchecked"])
-@pytest.mark.parametrize("expr, declared", DECLARED, ids=["max", "abs"])
-def test_declared_far_kinks_synthesize_f(expr, declared, flags, tmp_path, capsys):
+@pytest.mark.parametrize("expr, declared, witnesses", DECLARED, ids=IDS)
+def test_declared_far_kinks_synthesize_f(expr, declared, witnesses, flags, tmp_path, capsys):
     code, net = synth(expr, declared, flags, tmp_path, capsys)
     assert code == 0
-    for x in [(-2000,), (0,), (2000,)]:
+    for x in witnesses:
         assert evaluate_tuple(net, x) == eval_pwa(parse_pwa(expr), x)
+
+
+@pytest.mark.parametrize("flags", [[], ["--unchecked"]], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("expr, declared, witnesses", UNDECLARED, ids=IDS)
+def test_undeclared_far_kinks_are_missing_breaklines(
+    expr, declared, witnesses, flags, tmp_path, capsys
+):
+    path = tmp_path / "spec.json"
+    breaklines = [{"d": d, "q": q} for d, q in declared]
+    path.write_text(json.dumps({"expr": expr, "breaklines": breaklines}))
+    assert run(["synth", str(path), *flags]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"error": "NotRepresentable", "reason": "MissingBreakline"}
