@@ -301,11 +301,14 @@ def _compile(e):
     b + relu(a - b) and min(a, b) a - relu(a - b); Scale and Neg multiply row,
     c and each k, and a Sum adds its flat children's triples at the common m.
 
-    ``knots`` of a subtree that is not flat is the pair (triples, args) off
-    whose hyperplanes it is affine: the kinked breaklines of each flat triple,
-    and for each relu argument that is not affine (a - b for max and min) as
-    a compile (num, m, flat, knots) of its own, its hyperplanes plus the zero
-    set of its affine piece on each of their cells (``synthesis`` reads them).
+    ``knots`` of a subtree that is not flat is (triples, args, cost): it is
+    affine off the kinked breaklines of each flat triple and, for each relu
+    argument that is not affine (a - b for max and min) as a compile (num, m,
+    flat, knots) of its own, off its hyperplanes and the zero set of its affine
+    piece on each of their cells (``synthesis`` reads them).  ``cost`` counts
+    the terms one call of num reads (``_cost``).  The argument a - b of a
+    max/min holds every hyperplane of a and b, so the base b (or a) adds only
+    its triple, when a - b is one triple in which their kinks may cancel.
     """
     if isinstance(e, Affine):
         (*row, c), m = scaled_point((*e.coeffs, e.const))
@@ -316,7 +319,8 @@ def _compile(e):
             return None, m, ((0,) * len(flat[0]), 0, ((*flat[:2], 1),)), None
         child = child or relu_sum(*flat)
         num = lambda X, D: max(child(X, D), 0)
-        return num, m, "relu argument is not affine", ((), ((child, m, flat, knots),))
+        arg = child, m, flat, knots
+        return num, m, "relu argument is not affine", ((), (arg,), _cost(flat, knots) + 1)
     if isinstance(e, (Max, Min)):
         [(left, wl, fl, kl), (right, wr, fr, kr)], m = _common((e.left, e.right))
         if _affine(fl) and _affine(fr):
@@ -325,16 +329,15 @@ def _compile(e):
             flat = (b, cb, ((*diff, 1),)) if isinstance(e, Max) else (a, ca, ((*diff, -1),))
             return None, m, flat, None
         left, right = left or relu_sum(*fl), right or relu_sum(*fr)
-        pick, base = (max, (fr, kr)) if isinstance(e, Max) else (min, (fl, kl))
+        pick, base = (max, fr) if isinstance(e, Max) else (min, fl)
         num = lambda X, D: pick(wl * left(X, D), wr * right(X, D))
         what = "max/min argument is not affine"
         diff = lambda X, D: wl * left(X, D) - wr * right(X, D)
+        sub = _knots([(fl, kl), (fr, kr)])
         if kl is None and kr is None:  # a - b of flat a and b is one triple
             arg = diff, m, _sum([_scaled(fl, wl), _scaled(fr, -wr)]), None
-        else:
-            arg = diff, m, what, _knots([(fl, kl), (fr, kr)])
-        triples, args = _knots([base])
-        return num, m, what, (triples, (*args, arg))
+            return num, m, what, ((base,), (arg,), sub[2])
+        return num, m, what, ((), ((diff, m, what, sub),), sub[2])
     if isinstance(e, Sum):
         parts, m = _common(e.children)
         flat = _sum([_scaled(flat, w) for _, w, flat, _ in parts if not isinstance(flat, str)])
@@ -380,7 +383,13 @@ def _knots(parts):
         else:
             triples += knots[0]
             args += knots[1]
-    return tuple(triples), tuple(args)
+    return tuple(triples), tuple(args), 1 + sum(_cost(flat, knots) for flat, knots in parts)
+
+
+def _cost(flat, knots):
+    """Terms one call of a subtree's numerator reads: a flat triple's relus and
+    row, or the cost its knots carry."""
+    return len(flat[2]) + 1 if knots is None else knots[2]
 
 
 def _common(children):

@@ -15,8 +15,9 @@ then f == response through integer numerators (a compiled f's ``kernel``; a
 black box is lifted to f(X / D) * D).  A nested spec decides it exactly:
 f - response is affine on every cell of the hyperplanes its compile bounds
 its pieces by and the declared ones, so ``_check_cells`` compares the two at
-d0 + 1 corners of one point per cell (``_cell_points``, a linear sweep).  A
-flat spec measured and a black box compare them on sampled points X / D.
+one point per cell, and at d0 + 1 corners of it where no cell across a facet
+was checked before (``_cells``, an incremental construction).  A flat spec
+measured and a black box compare them on sampled points X / D.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import NotTransversal
 from .exact import compiled, dot, eliminate, is_zero, primitive_direction, primitive_row, rat
 from .exact import relu_sum, scaled_point, solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
-from .pwa import PWASpec, _compile, _read_flat, expr_dim
+from .pwa import PWASpec, _compile, _cost, _read_flat, expr_dim
 
 # Most breaklines check_transversality takes, before any work is counted.
 _MAX_BREAKLINES = 20
@@ -45,13 +46,14 @@ _MAX_BREAKLINES = 20
 # 20 breaklines in d0 = 3 are 265,620 units (61 ms), 10 in d0 = 12 337,800 (50 ms).
 _MAX_WORK = 350_000
 
-# Work the cell check of a nested spec may do (``_spend``): d^2 units per
-# eliminated d-subset, one per row per slice and per row per probed point, and
-# d0 + 1 per point for its corners.  Measured in process (Python 3.11, 2-CPU
-# shared x86-64 host) at 0.9 to 1.5 us per unit on arrangements of 8 to 25
-# hyperplanes in d0 = 1 to 3, so the cap is about 1.5 to 2.2 s; a large
-# expression costs more per unit (4.5 us for a 256-relu one in d0 = 1).
-_MAX_CELL_WORK = 1_500_000
+# Work the cell check of a nested spec may do (``_spend``), in units of about one
+# integer multiply-add: d + 1 per row per hyperplane and per point of the sweep
+# in Q^d, and d0 + 1 per term read per point where f or the network is called
+# (``pwa._cost``).  Measured in process (Python 3.11, 2-CPU shared x86-64 host)
+# at 0.16 to 0.36 us per unit, from 256-relu expressions in d0 = 1 and 2 to
+# sweeps of 14 to 20 hyperplanes in d0 = 3 to 7, so the cap is about 1.3 to 2.9 s:
+# 20 hyperplanes in d0 = 4 (a nested spec with 20 breaklines) take about 5 M.
+_MAX_CELL_WORK = 8_000_000
 
 # Times jump_vector halves its step before giving up.
 _HALVINGS = 20
@@ -273,79 +275,81 @@ def _spend(work, units):
         raise CapExceeded(f"the cell check exceeds its cap of {_MAX_CELL_WORK} units of work")
 
 
-def _gaps(values):
-    """A point in each gap between the distinct values and one beyond each end (0 if none)."""
-    v = sorted(values)
-    if not v:
-        return [Fraction(0)]
-    return [v[0] - 1, *((a + b) / 2 for a, b in zip(v, v[1:])), v[-1] + 1]
+def _cells(rows, d, work):
+    """(X, D, sides, across) for one point X / D strictly inside each open cell
+    of an arrangement in Q^d, generated cell by cell.
 
-
-def _vertex_x1(rows, d, work):
-    """x1 of every vertex: one ``eliminate`` per d-subset of the rows (d^2 units)."""
-    _spend(work, comb(len(rows), d) * d * d)
-    xs = set()
-    for subset in combinations(rows, d):
-        eqs = [[*a, -b] for *a, b in subset]  # a . x = -b
-        pivots, p = eliminate(eqs, d)
-        if len(pivots) == d:
-            xs.add(Fraction(eqs[0][d], p))
-    return xs
-
-
-def _cell_points(rows, d, work):
-    """A rational point strictly inside every open cell of an arrangement in Q^d.
-
-    ``rows`` are integer rows (a, b) with a != 0, the hyperplanes a . x + b = 0;
-    a cell may get more than one point.  In d = 1 the points
-    are the midpoints between the sorted breakpoints and one beyond each end.
-    For d >= 2 the coordinate hyperplanes x_i = 0 join normals that do not span
-    Q^d, so every cell is pointed and each finite end of its x1-projection is
-    the x1 of a vertex; one slice x1 = c per gap between those values, and one
-    beyond each end, is swept in Q^(d-1).  ``work`` counts units against
-    ``_MAX_CELL_WORK``: d^2 per eliminated subset, one per row per slice.
+    ``rows`` are distinct primitive integer rows (a, b) with a != 0, the
+    hyperplanes a . x + b = 0, and ``sides`` are a . X + b * D per row.  The
+    hyperplanes are added one at a time.  The cells that H cuts are those of
+    the arrangement the rows before it cut on H, which lives in Q^(d-1) once
+    H is solved for its first coordinate j with a_j != 0.  Each point of
+    theirs, lifted onto H, steps off H to either side by a multiple of a small
+    enough that no other row changes sign.  A lifted point on a later
+    hyperplane is dropped: no later one meets the facet on H of a cell that
+    none cuts, so each cell is reached from the last hyperplane that cut it.
+    A cell reached again (same signs) is skipped, and ``across`` says whether
+    a cell sharing a facet with it, here the one across H, came before.  In
+    Q^1 the points are the midpoints between the sorted breakpoints and one
+    beyond each end, each but the first across from the one before.  ``work``
+    counts d + 1 units per row per hyperplane and per lifted point against
+    ``_MAX_CELL_WORK``.
     """
     if not rows:
-        return [(Fraction(0),) * d]
+        yield (0,) * d, 1, (), False
+        return
     if d == 1:
-        _spend(work, len(rows))
-        return [(c,) for c in _gaps({Fraction(-b, a) for a, b in rows})]
-    xs = _vertex_x1(rows, d, work)
-    if not xs:  # the normals do not span Q^d
-        rows = {*rows, *(tuple(int(j == i) for j in range(d + 1)) for i in range(d))}
-        xs = _vertex_x1(rows, d, work)
-    points = []
-    for c in _gaps(xs):
-        _spend(work, len(rows))
-        cn, cd = c.numerator, c.denominator
-        # a1 * c + a' . y + b = 0 on the slice; a' = 0 misses it, c being no vertex's x1
-        cut = {
-            primitive_row((*(cd * e for e in a), cd * b + a1 * cn))[0]
-            for a1, *a, b in rows
-            if any(a)
-        }
-        points += [(c, *p) for p in _cell_points(cut, d - 1, work)]
-    return points
+        cuts = sorted(Fraction(-b, a) for a, b in rows)
+        _spend(work, 2 * len(rows) * (len(rows) + 1))
+        gaps = (cuts[0] - 1, *((u + v) / 2 for u, v in zip(cuts, cuts[1:])), cuts[-1] + 1)
+        for i, x in enumerate(gaps):
+            X, D = x.numerator, x.denominator
+            yield (X,), D, [a * X + b * D for a, b in rows], i > 0
+        return
+    seen = set()
+    for h, (*a, b) in enumerate(rows):
+        _spend(work, (d + 1) * len(rows))
+        j = next(i for i, e in enumerate(a) if e)
+        aj, sj = abs(a[j]), 1 if a[j] > 0 else -1
+        others = [i for i in range(d) if i != j]
+        rest = [a[i] for i in others]
+        # a_j * (c . x + e) on H, as a row in the coordinates other than j
+        cut = set()
+        for *c, e in rows[:h]:
+            row = [a[j] * c[i] - c[j] * a[i] for i in others]
+            if any(row):
+                cut.add(primitive_row((*row, a[j] * e - c[j] * b))[0])
+        dots = [sum(map(mul, a, row)) for row in rows]
+        k = 1 + max(map(abs, dots))  # above |c . a|, and every side but H's is a nonzero integer
+        for Y, E, *_ in _cells(list(cut), d - 1, work):
+            _spend(work, (d + 1) * len(rows))
+            X = [aj * y for y in Y]
+            X.insert(j, -sj * (b * E + sum(map(mul, rest, Y))))
+            D = aj * E
+            sides = [sum(map(mul, row, X)) + row[-1] * D for row in rows]
+            if sides.count(0) > 1:  # on a later hyperplane
+                continue
+            signs = [v > 0 for v in sides]  # H's own is the side stepped to, as a . a > 0
+            keys = [tuple(signs[:h] + [up] + signs[h + 1 :]) for up in (True, False)]
+            for step, key, other in zip((1, -1), keys, keys[::-1]):
+                if key not in seen:
+                    seen.add(key)
+                    stepped = [k * v + step * t for v, t in zip(sides, dots)]
+                    yield [k * x + step * e for x, e in zip(X, a)], k * D, stepped, other in seen
 
 
 def _probes(rows, d0, work):
-    """(Y, E, s) for each cell of the arrangement that ``_cell_points`` reaches.
+    """(Y, E, s, across) for each cell of the arrangement of the integer rows
+    (a, b), one per hyperplane once made primitive, that ``_cells`` reaches.
 
     Y / E lies strictly inside the cell, and so does (Y + s * e_i) / E for every
     axis i: with Y and E scaled by 1 + max |a|, a step s no larger than any
-    |a . Y + b * E| / E before scaling changes no side.  Cells are told apart by
-    their sign vectors, so each is probed once.
+    |a . Y + b * E| before scaling changes no side.
     """
-    rows = list(rows)
+    rows = list({primitive_row(row)[0] for row in rows})
     scale = 1 + max((abs(a) for row in rows for a in row[:-1]), default=0)
-    seen = set()
-    for x in _cell_points(rows, d0, work):
-        _spend(work, len(rows) + d0 + 1)
-        X, D = scaled_point(x)
-        sides = [sum(map(mul, row, X)) + row[-1] * D for row in rows]
-        if (key := tuple(side > 0 for side in sides)) not in seen:
-            seen.add(key)
-            yield [scale * c for c in X], scale * D, min(map(abs, sides), default=1)
+    for X, D, sides, across in _cells(rows, d0, work):
+        yield [scale * c for c in X], scale * D, min(map(abs, sides), default=1), across
 
 
 def _corners(Y, s):
@@ -358,13 +362,15 @@ def _cuts(knots, d0, work):
     is not flat is affine, from its ``pwa._compile`` knots, bottom up: the
     kinked breaklines of each flat triple; and for each argument, its own
     hyperplanes plus the zero set of its piece on each of their cells, the
-    piece read off its numerator at the cell's corners."""
-    triples, args = knots
+    piece read off its numerator at the cell's corners.  Each cell adds (d0 +
+    1) * cost units (``pwa._cost``), one per term read."""
+    triples, args, _ = knots
     rows = {_row(bl) for flat in triples for bl, k in _read_flat(1, flat)[0].items() if k}
     for num, _, flat, sub in args:
-        inner = _cuts(sub or ((flat,), ()), d0, work)
+        inner = _cuts(sub or ((flat,), (), 0), d0, work)
         rows |= inner
-        for Y, E, s in _probes(inner, d0, work):
+        for Y, E, s, _ in _probes(inner, d0, work):
+            _spend(work, (d0 + 1) ** 2 * _cost(flat, sub))
             v, *steps = [num(Z, E) for Z in _corners(Y, s)]
             grad = [(w - v) // s for w in steps]  # the piece is an integer row on the cell
             if any(grad):
@@ -375,15 +381,21 @@ def _cuts(knots, d0, work):
 def _check_cells(fnum, fm, net, knots, breaklines, d0):
     """NotRepresentable("MissingBreakline") unless f == the response of net.
 
-    f - response is affine on every cell of f's hyperplanes (``_cuts``) and
-    the declared breaklines, so it is zero if and only if it vanishes at the
-    d0 + 1 corners of one probe per cell; CapExceeded past ``_MAX_CELL_WORK``.
+    f - response is continuous and affine on every cell of f's hyperplanes
+    (``_cuts``) and the declared breaklines, so it is zero on a cell if and
+    only if it vanishes at the d0 + 1 corners of its probe, or, when a cell
+    across a facet was checked before, at the probe alone.  Each point read
+    adds the terms of f and of net to the work; CapExceeded past
+    ``_MAX_CELL_WORK``.
     """
     work = [0]
     rows = _cuts(knots, d0, work) | {_row(bl) for bl in breaklines}
     rnum, rm = tuple_evaluator(net).kernel
-    for Y, E, s in _probes(rows, d0, work):
-        for Z in _corners(Y, s):
+    cost = knots[2] + len(net.neurons) + 1
+    for Y, E, s, across in _probes(rows, d0, work):
+        points = [Y] if across else _corners(Y, s)
+        _spend(work, len(points) * (d0 + 1) * cost)
+        for Z in points:
             if fnum(Z, E) * rm != rnum(Z, E) * fm:
                 p = tuple(Fraction(z, E) for z in Z)
                 raise NotRepresentable(
