@@ -7,17 +7,16 @@ that breakline, and what is left is affine: a cancelling pair of neurons
 (``affine_pair``), for at most n+2 in all.  ``check_transversality`` scales
 each breakline to an integer row once and runs one ``exact.eliminate`` per
 subset; only a violating subset is solved for its point.  ``synthesize``
-compiles a spec once (``pwa._compile``), and a flat spec whose kinked terms
-all lie on declared breaklines is read off that compile in closed form.  Any
-other exact evaluator is measured: each kink by exact affine interpolation on
-small simplices either side of its breakline, then the remainder by one fit,
-then f == response through integer numerators (a compiled f's ``kernel``; a
-black box is lifted to f(X / D) * D).  A nested spec decides it exactly:
-f - response is affine on every cell of the hyperplanes its compile bounds
-its pieces by and the declared ones, so ``_check_cells`` compares the two at
-one point per cell, and at d0 + 1 corners of it where no cell across a facet
-was checked before (``_cells``, an incremental construction).  A flat spec
-measured and a black box compare them on sampled points X / D.
+compiles a spec once (``pwa._compile``) and reads the network off f's exact
+form: a flat spec's is its compile's, a nested spec's is read off the cells
+of the hyperplanes its compile bounds its pieces by and the declared ones
+(``_cells``, an incremental construction), a kink at one point of each
+hyperplane, then the form checked at one point per cell.  A black box, and a
+flat spec with check=False, is measured: each kink by exact affine
+interpolation on small simplices either side of its breakline, then the
+remainder by one fit, then f == response on sampled points X / D through
+integer numerators (a compiled f's ``kernel``; a black box is lifted to
+f(X / D) * D).
 """
 
 from __future__ import annotations
@@ -46,10 +45,10 @@ _MAX_BREAKLINES = 20
 # 20 breaklines in d0 = 3 are 265,620 units (61 ms), 10 in d0 = 12 337,800 (50 ms).
 _MAX_WORK = 350_000
 
-# Work the cell check of a nested spec may do (``_spend``), in units of about one
-# integer multiply-add: d + 1 per row per hyperplane and per point of the sweep
-# in Q^d, and d0 + 1 per term read per point where f or the network is called
-# (``pwa._cost``).  Measured in process (Python 3.11, 2-CPU shared x86-64 host)
+# Work the read and the cell check of a nested spec may do (``_spend``), in units
+# of about one integer multiply-add: d + 1 per row per hyperplane and per point
+# of the sweep in Q^d, and d0 + 1 per term read per point where f or the network
+# is called (``pwa._cost``).  Measured in process (Python 3.11, 2-CPU shared x86-64 host)
 # at 0.16 to 0.36 us per unit, from 256-relu expressions in d0 = 1 and 2 to
 # sweeps of 14 to 20 hyperplanes in d0 = 3 to 7, so the cap is about 1.3 to 2.9 s:
 # 20 hyperplanes in d0 = 4 (a nested spec with 20 breaklines) take about 5 M.
@@ -111,7 +110,7 @@ def point_on_breakline(breaklines, i, seed: int = 0):
     the pivot is solved from the breakline's equation.  Each other breakline
     removes only an affine slice of the grid, so the scan terminates.  A
     second breakline on the same hyperplane would cover the whole grid; it
-    raises NotTransversal with the pair and a common point instead.
+    raises NotTransversal instead (``_repeated``).
     """
     breaklines = list(breaklines)
     bl = breaklines[i]
@@ -123,10 +122,7 @@ def point_on_breakline(breaklines, i, seed: int = 0):
         x[pivot] = (bl.offset - dot(bl.direction, x)) / bl.direction[pivot]
         return tuple(x)
 
-    for j, b in enumerate(breaklines):
-        # directions are primitive and lex-positive, so one hyperplane is one Breakline
-        if j != i and b == bl:
-            raise NotTransversal(Violation(tuple(sorted((i, j))), point([0] * (bl.d0 - 1))))
+    _repeated(breaklines, i)
     others = [b for j, b in enumerate(breaklines) if j != i]
     offset = random.Random(seed).randrange(0, 1000)
     for radius in count():
@@ -135,6 +131,17 @@ def point_on_breakline(breaklines, i, seed: int = 0):
                 x = point(v + offset if v >= 0 else v - offset for v in t)
                 if all(b.side(x) != 0 for b in others):
                     return x
+
+
+def _repeated(breaklines, i):
+    """NotTransversal, with the pair and the point of breakline i whose
+    coordinates but its pivot are 0, if another lies on its hyperplane."""
+    bl = breaklines[i]
+    for j, b in enumerate(breaklines):
+        # directions are primitive and lex-positive, so one hyperplane is one Breakline
+        if j != i and b == bl:
+            point, _ = solve_affine([bl.direction], [bl.offset], bl.d0)
+            raise NotTransversal(Violation(tuple(sorted((i, j))), point))
 
 
 def _fit_around(f, center, radius):
@@ -282,10 +289,9 @@ def _cells(rows, d, work):
     ``rows`` are distinct primitive integer rows (a, b) with a != 0, the
     hyperplanes a . x + b = 0, and ``sides`` are a . X + b * D per row.  The
     hyperplanes are added one at a time.  The cells that H cuts are those of
-    the arrangement the rows before it cut on H, which lives in Q^(d-1) once
-    H is solved for its first coordinate j with a_j != 0.  Each point of
-    theirs, lifted onto H, steps off H to either side by a multiple of a small
-    enough that no other row changes sign.  A lifted point on a later
+    the arrangement the rows before it cut on H, in Q^(d-1) (``_restrict``).
+    Each point of theirs, lifted onto H, steps off H to either side by a
+    multiple of a small enough that no other row changes sign.  A lifted point on a later
     hyperplane is dropped: no later one meets the facet on H of a cell that
     none cuts, so each cell is reached from the last hyperplane that cut it.
     A cell reached again (same signs) is skipped, and ``across`` says whether
@@ -307,26 +313,16 @@ def _cells(rows, d, work):
             yield (X,), D, [a * X + b * D for a, b in rows], i > 0
         return
     seen = set()
-    for h, (*a, b) in enumerate(rows):
+    for h, row in enumerate(rows):
         _spend(work, (d + 1) * len(rows))
-        j = next(i for i, e in enumerate(a) if e)
-        aj, sj = abs(a[j]), 1 if a[j] > 0 else -1
-        others = [i for i in range(d) if i != j]
-        rest = [a[i] for i in others]
-        # a_j * (c . x + e) on H, as a row in the coordinates other than j
-        cut = set()
-        for *c, e in rows[:h]:
-            row = [a[j] * c[i] - c[j] * a[i] for i in others]
-            if any(row):
-                cut.add(primitive_row((*row, a[j] * e - c[j] * b))[0])
-        dots = [sum(map(mul, a, row)) for row in rows]
+        cut, lift = _restrict(row, rows[:h])
+        a = row[:-1]
+        dots = [sum(map(mul, a, other)) for other in rows]
         k = 1 + max(map(abs, dots))  # above |c . a|, and every side but H's is a nonzero integer
-        for Y, E, *_ in _cells(list(cut), d - 1, work):
+        for Y, E, *_ in _cells(cut, d - 1, work):
             _spend(work, (d + 1) * len(rows))
-            X = [aj * y for y in Y]
-            X.insert(j, -sj * (b * E + sum(map(mul, rest, Y))))
-            D = aj * E
-            sides = [sum(map(mul, row, X)) + row[-1] * D for row in rows]
+            X, D = lift(Y, E)
+            sides = [sum(map(mul, other, X)) + other[-1] * D for other in rows]
             if sides.count(0) > 1:  # on a later hyperplane
                 continue
             signs = [v > 0 for v in sides]  # H's own is the side stepped to, as a . a > 0
@@ -336,6 +332,30 @@ def _cells(rows, d, work):
                     seen.add(key)
                     stepped = [k * v + step * t for v, t in zip(sides, dots)]
                     yield [k * x + step * e for x, e in zip(X, a)], k * D, stepped, other in seen
+
+
+def _restrict(row, rows):
+    """(cut, lift): the primitive rows that ``rows`` restrict to on the
+    hyperplane H, a . x + b = 0, of ``row``, solved for its first coordinate j
+    with a_j != 0 (rows parallel to H drop out), and the map from a point Y / E
+    of H's other coordinates to the point X / D of H, as lift(Y, E) = (X, D)."""
+    *a, b = row
+    j = next(i for i, e in enumerate(a) if e)
+    aj, sj = abs(a[j]), 1 if a[j] > 0 else -1
+    others = [i for i in range(len(a)) if i != j]
+    rest = [a[i] for i in others]
+    cut = set()
+    for *c, e in rows:
+        on = [a[j] * c[i] - c[j] * a[i] for i in others]
+        if any(on):
+            cut.add(primitive_row((*on, a[j] * e - c[j] * b))[0])
+
+    def lift(Y, E):
+        X = [aj * y for y in Y]
+        X.insert(j, -sj * (b * E + sum(map(mul, rest, Y))))
+        return X, aj * E
+
+    return list(cut), lift
 
 
 def _probes(rows, d0, work):
@@ -378,20 +398,18 @@ def _cuts(knots, d0, work):
     return rows
 
 
-def _check_cells(fnum, fm, net, knots, breaklines, d0):
-    """NotRepresentable("MissingBreakline") unless f == the response of net.
+def _check_cells(fnum, fm, cost, net, rows, d0, work):
+    """NotRepresentable("ResidualNotAffine") unless f == the response of net.
 
-    f - response is continuous and affine on every cell of f's hyperplanes
-    (``_cuts``) and the declared breaklines, so it is zero on a cell if and
+    f - response is continuous and affine on every cell of ``rows``, which
+    hold f's hyperplanes (``_cuts``) and net's, so it is zero on a cell if and
     only if it vanishes at the d0 + 1 corners of its probe, or, when a cell
     across a facet was checked before, at the probe alone.  Each point read
-    adds the terms of f and of net to the work; CapExceeded past
-    ``_MAX_CELL_WORK``.
+    adds the terms of f (``cost`` per call of fnum) and of net to ``work``;
+    CapExceeded past ``_MAX_CELL_WORK``.
     """
-    work = [0]
-    rows = _cuts(knots, d0, work) | {_row(bl) for bl in breaklines}
     rnum, rm = tuple_evaluator(net).kernel
-    cost = knots[2] + len(net.neurons) + 1
+    cost += len(net.neurons) + 1
     for Y, E, s, across in _probes(rows, d0, work):
         points = [Y] if across else _corners(Y, s)
         _spend(work, len(points) * (d0 + 1) * cost)
@@ -399,46 +417,82 @@ def _check_cells(fnum, fm, net, knots, breaklines, d0):
             if fnum(Z, E) * rm != rnum(Z, E) * fm:
                 p = tuple(Fraction(z, E) for z in Z)
                 raise NotRepresentable(
-                    "MissingBreakline", f"function disagrees with the synthesized network at {p}"
+                    "ResidualNotAffine", f"residual disagrees with its affine fit at {p}"
                 )
+
+
+def _nested_form(num, m, knots, breaklines, d0):
+    """(terms, affine, bias) of a nested spec's f, read off its cells exactly.
+
+    f is affine off its hyperplanes (``_cuts``) and the declared ones.  Each,
+    H: a . x + b = 0, has a point X / D off the others, the first cell of them
+    restricted to H (``_restrict``), and with k as in ``_cells`` the second
+    difference of f's numerator at k X +- a over k D is m * kink * |a|^2.  The
+    affine part is fit to f minus those kinks, and the form checked on every
+    cell: ResidualNotAffine if f is not a network's response.  As when
+    measured, declared breaklines of another dimension raise DimensionMismatch
+    and two on one hyperplane NotTransversal.
+    """
+    for i in reversed(range(len(breaklines))):
+        _repeated(breaklines, i)
+        if breaklines[i].d0 != d0:
+            raise DimensionMismatch(f"point has length {breaklines[i].d0}, leaf expects {d0}")
+    work = [0]
+    rows = list(_cuts(knots, d0, work) | {_row(bl) for bl in breaklines})
+    terms = {}
+    for h, (*a, b) in enumerate(rows):
+        _spend(work, 3 * (d0 + 1) * (len(rows) + knots[2]))  # restriction, dots, three reads
+        cut, lift = _restrict(rows[h], rows[:h] + rows[h + 1 :])
+        X, D = lift(*next(_cells(cut, d0 - 1, work))[:2])
+        k = 1 + max(abs(sum(map(mul, a, row))) for row in rows)
+        X, D = [k * x for x in X], k * D
+        jump = sum(num([x + t * e for x, e in zip(X, a)], D) for t in (1, -1)) - 2 * num(X, D)
+        if jump:
+            d, g = primitive_row(a)  # g > 0: rows are lex-positive
+            terms[Breakline(d, Fraction(-b, g))] = Fraction(jump, m * g * dot(d, d))
+    f = compiled(num, m, d0, "leaf")
+    found = tuple_evaluator(EffectiveTuple([Neuron(bl, c, 1) for bl, c in terms.items()], 0))
+    form = terms, *_fit_around(lambda p: f(p) - found(p), (Fraction(0),) * d0, Fraction(1))
+    _check_cells(num, m, knots[2], _read_off(terms, form), rows, d0, work)
+    return form
+
+
+def _read_off(breaklines, form):
+    """The network of form (terms, affine, bias) on the given breaklines: one
+    neuron per kinked one, in their order, then a cancelling pair for the
+    affine part, then the bias."""
+    terms, affine, bias = form
+    neurons = [Neuron(bl, terms[bl], 1) for bl in breaklines if terms.get(bl)]
+    pair = affine_pair(affine, 0)[:2] if any(affine) else ()  # on {d.x = 0}: no shift
+    return EffectiveTuple((*neurons, *pair), bias)
 
 
 def synthesize(spec: PWASpec, seed: int = 0, check: bool = True):
     """Synthesize a network for a parsed piecewise-affine specification.
 
     One compile gives the ``"auto"`` breaklines (NotFlat if nested) and the
-    form of a flat spec.  If its transversal breaklines of dimension d0 carry
-    every kinked term, the network is read off that form: each jump the
-    measuring path finds is kink * direction and its remainder is the affine
-    part.  Only the other specs, and every spec with ``check=False``, are
-    measured.  A flat spec with a kink off its declared breaklines raises the
-    measuring path's error, or MissingBreakline where that path returns a net.
-    A nested spec is measured without the sampled check, and its network is
-    checked against f exactly (``_check_cells``): MissingBreakline at a point
-    where they differ, CapExceeded past ``_MAX_CELL_WORK``.
+    exact form of f, read off it if flat, else off its cells (``_nested_form``,
+    CapExceeded past ``_MAX_CELL_WORK``).  After the transversality check, a
+    kink off the declared breaklines raises MissingBreakline; else the network
+    is read off the form, as each jump the measuring path finds is kink *
+    direction.  Only a flat spec is measured, unchecked or with such a kink,
+    and then a measuring error comes first; a nested one takes no seed.
     """
     num, m, flat, knots = _compile(spec.expr)  # num and knots are None for a flat spec
     auto = spec.breaklines == "auto"
-    form = _read_flat(m, flat) if auto or not isinstance(flat, str) else None
+    form = _read_flat(m, flat) if auto or knots is None else None
     breaklines = list(form[0] if auto else spec.breaklines)
     d0 = expr_dim(spec.expr)
-    # kinks of f off the declared breaklines, which the sampled check may miss
-    missing = [bl for bl, k in form[0].items() if k and bl not in breaklines] if form else []
-    if check:
-        if (violation := check_transversality(breaklines)) is not None:
-            raise NotTransversal(violation)
-        if form and not missing and all(bl.d0 == d0 for bl in breaklines):
-            terms, affine, bias = form
-            neurons = [Neuron(bl, terms[bl], 1) for bl in breaklines if terms.get(bl)]
-            pair = affine_pair(affine, 0)[:2] if any(affine) else ()  # on {d.x = 0}: no shift
-            return EffectiveTuple((*neurons, *pair), bias)
-    f = compiled(num or relu_sum(*flat), m, d0, "leaf")
+    if check and (violation := check_transversality(breaklines)) is not None:
+        raise NotTransversal(violation)
     if knots is not None:
-        net = synthesize_evaluator(f, breaklines, d0, seed, False, n_verify=0)
-        _check_cells(num, m, net, knots, breaklines, d0)
-        return net
-    net = synthesize_evaluator(f, breaklines, d0, seed, False)
+        form = _nested_form(num, m, knots, breaklines, d0)
+    missing = [bl for bl, k in form[0].items() if k and bl not in breaklines]
+    measure = knots is None and (missing or not check or any(bl.d0 != d0 for bl in breaklines))
+    if measure:
+        f = compiled(relu_sum(*flat), m, d0, "leaf")
+        net = synthesize_evaluator(f, breaklines, d0, seed, False)
     if missing:
         bl = missing[0]
         raise NotRepresentable("MissingBreakline", f"kink on {list(bl.direction)}.x = {bl.offset}")
-    return net
+    return net if measure else _read_off(breaklines, form)

@@ -146,9 +146,11 @@ def test_first_cell_is_checked_at_its_corners(d0):
     y, z = Fraction(Y[0], E), Fraction(Z[0], G)
     *pair, shift = affine_pair(e1, 0)
     net = EffectiveTuple((Neuron(x1, 1 + (y - z) / z, 1), *pair), shift - y)
-    with pytest.raises(NotRepresentable, match="MissingBreakline"):
-        _check_cells(num, m, net, knots, [x1], d0)
-    assert _check_cells(num, m, EffectiveTuple((Neuron(x1, 1, 1),), 0), knots, [x1], d0) is None
+    rows = [_row(x1)]  # relu(relu(x1)) has no other hyperplane
+    with pytest.raises(NotRepresentable, match="ResidualNotAffine"):
+        _check_cells(num, m, knots[2], net, rows, d0, [0])
+    f = EffectiveTuple((Neuron(x1, 1, 1),), 0)
+    assert _check_cells(num, m, knots[2], f, rows, d0, [0]) is None
 
 
 def test_max_chain_reads_each_argument_once():
