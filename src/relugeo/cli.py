@@ -76,7 +76,7 @@ def _cmd_synth(args):
     if not isinstance(spec, PWASpec):
         raise ValueError("synth expects a PWA spec file with an 'expr' key")
     try:
-        result = synthesize(spec, seed=args.seed, check=not args.unchecked)
+        result = synthesize(spec, check=not args.unchecked)
     except NotTransversal as exc:
         print(
             jsonio.dumps(
@@ -134,7 +134,7 @@ def _arg(*names, **options):
     return names, options
 
 
-# Every argument, declared once; file, --cap, --r and --seed are shared.
+# Every argument, declared once; file, --cap, --r and --seed are shared (synth ignores --seed).
 _FILE = _arg("file")
 _CAP = _arg("--cap", type=int, default=DEFAULT_CAP)
 _R = _arg("--r", default="0", help="comma-separated offsets for infinite families")

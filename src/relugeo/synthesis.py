@@ -8,15 +8,14 @@ that breakline, and what is left is affine: a cancelling pair of neurons
 each breakline to an integer row once and runs one ``exact.eliminate`` per
 subset; only a violating subset is solved for its point.  ``synthesize``
 compiles a spec once (``pwa._compile``) and reads the network off f's exact
-form: a flat spec's is its compile's, a nested spec's is read off the cells
-of the hyperplanes its compile bounds its pieces by and the declared ones
-(``_cells``, an incremental construction), a kink at one point of each
-hyperplane, then the form checked at one point per cell.  A black box, and a
-flat spec with check=False, is measured: each kink by exact affine
-interpolation on small simplices either side of its breakline, then the
-remainder by one fit, then f == response on sampled points X / D through
-integer numerators (a compiled f's ``kernel``; a black box is lifted to
-f(X / D) * D).
+form, checked or not: a flat spec's is its compile's, a nested spec's is read
+off the cells of the hyperplanes its compile bounds its pieces by and the
+declared ones (``_cells``, an incremental construction), a kink at one point
+of each hyperplane, then the form checked at one point per cell.  Only a
+black box is measured: each kink by exact affine interpolation on small
+simplices either side of its breakline, then the remainder by one fit, then
+f == response on sampled points X / D through integer numerators (a compiled
+f's ``kernel``; a black box is lifted to f(X / D) * D).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from operator import mul, sub
 from .errors import CapExceeded, DimensionMismatch, NotLocallyAffine, NotRepresentable
 from .errors import NotTransversal
 from .exact import compiled, dot, eliminate, is_zero, primitive_direction, primitive_row, rat
-from .exact import relu_sum, scaled_point, solve_affine, vec
+from .exact import scaled_point, solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
 from .pwa import PWASpec, _compile, _cost, _read_flat, expr_dim
 
@@ -429,14 +428,8 @@ def _nested_form(num, m, knots, breaklines, d0):
     restricted to H (``_restrict``), and with k as in ``_cells`` the second
     difference of f's numerator at k X +- a over k D is m * kink * |a|^2.  The
     affine part is fit to f minus those kinks, and the form checked on every
-    cell: ResidualNotAffine if f is not a network's response.  As when
-    measured, declared breaklines of another dimension raise DimensionMismatch
-    and two on one hyperplane NotTransversal.
+    cell: ResidualNotAffine if f is not a network's response.
     """
-    for i in reversed(range(len(breaklines))):
-        _repeated(breaklines, i)
-        if breaklines[i].d0 != d0:
-            raise DimensionMismatch(f"point has length {breaklines[i].d0}, leaf expects {d0}")
     work = [0]
     rows = list(_cuts(knots, d0, work) | {_row(bl) for bl in breaklines})
     terms = {}
@@ -467,16 +460,27 @@ def _read_off(breaklines, form):
     return EffectiveTuple((*neurons, *pair), bias)
 
 
-def synthesize(spec: PWASpec, seed: int = 0, check: bool = True):
+def _check_declared(breaklines, d0):
+    """The declared hyperplanes, each with its first index, checked last index
+    first, as the measuring path meets them: NotTransversal if breakline i
+    repeats an earlier one (``_repeated``), DimensionMismatch if not in Q^d0."""
+    indexed = list(enumerate(breaklines))[::-1]
+    first = {bl: i for i, bl in indexed}  # the first index is written last
+    for i, bl in indexed:
+        if first[bl] != i:
+            _repeated(breaklines, i)
+        if bl.d0 != d0:
+            raise DimensionMismatch(f"point has length {bl.d0}, leaf expects {d0}")
+    return first
+
+
+def synthesize(spec: PWASpec, check: bool = True):
     """Synthesize a network for a parsed piecewise-affine specification.
 
-    One compile gives the ``"auto"`` breaklines (NotFlat if nested) and the
-    exact form of f, read off it if flat, else off its cells (``_nested_form``,
-    CapExceeded past ``_MAX_CELL_WORK``).  After the transversality check, a
-    kink off the declared breaklines raises MissingBreakline; else the network
-    is read off the form, as each jump the measuring path finds is kink *
-    direction.  Only a flat spec is measured, unchecked or with such a kink,
-    and then a measuring error comes first; a nested one takes no seed.
+    One compile gives the ``"auto"`` breaklines (NotFlat if nested) and f's exact
+    form, read off it if flat, else off its cells (``_nested_form``).  After the
+    transversality check, if ``check``, and ``_check_declared``, a kink off the
+    declared breaklines raises MissingBreakline; else the network is read off.
     """
     num, m, flat, knots = _compile(spec.expr)  # num and knots are None for a flat spec
     auto = spec.breaklines == "auto"
@@ -485,14 +489,10 @@ def synthesize(spec: PWASpec, seed: int = 0, check: bool = True):
     d0 = expr_dim(spec.expr)
     if check and (violation := check_transversality(breaklines)) is not None:
         raise NotTransversal(violation)
+    declared = _check_declared(breaklines, d0)
     if knots is not None:
         form = _nested_form(num, m, knots, breaklines, d0)
-    missing = [bl for bl, k in form[0].items() if k and bl not in breaklines]
-    measure = knots is None and (missing or not check or any(bl.d0 != d0 for bl in breaklines))
-    if measure:
-        f = compiled(relu_sum(*flat), m, d0, "leaf")
-        net = synthesize_evaluator(f, breaklines, d0, seed, False)
-    if missing:
-        bl = missing[0]
-        raise NotRepresentable("MissingBreakline", f"kink on {list(bl.direction)}.x = {bl.offset}")
-    return net if measure else _read_off(breaklines, form)
+    if missing := [bl for bl, k in form[0].items() if k and bl not in declared]:
+        d, q = missing[0].direction, missing[0].offset
+        raise NotRepresentable("MissingBreakline", f"kink on {list(d)}.x = {q}")
+    return _read_off(breaklines, form)

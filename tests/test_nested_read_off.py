@@ -3,11 +3,12 @@
 ``synthesize`` reads a nested spec's kinks at one point of each hyperplane of
 its arrangement, fits the affine part, and checks that form on every cell.
 So the nested max(g + A, g + B) must give the same tuple as the flat
-g + B + relu(A - B), checked and unchecked; a nested spec must never reach
+g + B + relu(A - B), checked and unchecked; no spec, nested or flat, may reach
 the measuring path (``synthesize_evaluator``, ``point_on_breakline``,
-``jump_vector``), must compile and walk its hyperplanes once, and must print
-the same bytes whatever ``--seed``.  A function that is no network's response
-raises ResidualNotAffine, a network's response with a kinked hyperplane left
+``jump_vector``), each must compile once, a nested one walk its hyperplanes
+once and a flat one never, and each must print the same bytes whatever
+``--seed``.  A function that is no network's response raises
+ResidualNotAffine, a network's response with a kinked hyperplane left
 undeclared MissingBreakline, and a declared hyperplane repeated
 NotTransversal even unchecked.
 """
@@ -53,11 +54,11 @@ def nested_pairs(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(nested_pairs(), st.booleans(), st.integers(0, 99))
-def test_nested_reads_off_what_its_flat_twin_compiles(pair, check, seed):
+@given(nested_pairs(), st.booleans())
+def test_nested_reads_off_what_its_flat_twin_compiles(pair, check):
     nested, flat, breaklines = pair
-    got = outcome(synthesize, PWASpec(parse_pwa(nested), tuple(breaklines)), seed, check)
-    want = outcome(synthesize, PWASpec(parse_pwa(flat), tuple(breaklines)), seed, check)
+    got = outcome(synthesize, PWASpec(parse_pwa(nested), tuple(breaklines)), check=check)
+    want = outcome(synthesize, PWASpec(parse_pwa(flat), tuple(breaklines)), check=check)
     assert got == want
     assert got[0] == "ok"
 
@@ -73,6 +74,12 @@ SPECS = [
     (MAX_EXPR, [([1], "0")]),
     (HAT, HAT_LINES),
     (SHIFTED, [([1, 0], "0")]),
+]
+# flat specs are read off their compile: no hyperplanes are walked
+FLAT_SPECS = [
+    ("relu(affine([1,0],0)) + 2*relu(affine([1,1],-1))", "auto"),
+    ("relu(affine([1],0)) + relu(affine([1],-1))", [([1], "0")]),  # x = 1 left out
+    ("relu(affine([1,0],0))", [([2, 0], "1"), ([0, 3], "1"), ([6, 6], "5")]),  # meet at (1/2, 1/3)
 ]
 
 
@@ -110,7 +117,7 @@ def counts(monkeypatch):
 
 def synth(tmp_path, expr, declared, *flags):
     path = tmp_path / "spec.json"
-    breaklines = [{"d": d, "q": q} for d, q in declared]
+    breaklines = declared if declared == "auto" else [{"d": d, "q": q} for d, q in declared]
     path.write_text(json.dumps({"expr": expr, "breaklines": breaklines}))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -119,7 +126,11 @@ def synth(tmp_path, expr, declared, *flags):
 
 
 @pytest.mark.parametrize("flags", [[], ["--unchecked"]], ids=["checked", "unchecked"])
-@pytest.mark.parametrize("expr, declared", SPECS, ids=["max", "max-dropped", "hat", "shifted"])
+@pytest.mark.parametrize(
+    "expr, declared",
+    SPECS + FLAT_SPECS,
+    ids=["max", "max-dropped", "hat", "shifted", "flat-auto", "flat-dropped", "flat-meet"],
+)
 def test_one_exact_path_whatever_the_seed(counts, tmp_path, expr, declared, flags):
     printed = set()
     for seed in ("0", "1", "997"):
@@ -127,7 +138,8 @@ def test_one_exact_path_whatever_the_seed(counts, tmp_path, expr, declared, flag
         code, out = synth(tmp_path, expr, declared, "--seed", seed, *flags)
         printed.add((code, out))
         calls = {key: counts[key] - before[key] for key in counts}
-        walks = 0 if "NotTransversal" in out else 1  # the hat's lines meet at (0, 1)
+        # none once the check rejects (the hat's lines meet at (0, 1)) or for a flat spec
+        walks = 0 if "NotTransversal" in out or (expr, declared) in FLAT_SPECS else 1
         assert calls == {
             "synthesize_evaluator": 0,
             "point_on_breakline": 0,
