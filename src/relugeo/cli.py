@@ -54,14 +54,14 @@ def _cmd_canon(args):
 def _cmd_classify(args):
     cf = _as_form(jsonio.load(args.file))
     report = classify(cf, cap=args.cap, r_samples=_parse_rationals(args.r, "--r"))
-    print(jsonio.dumps(jsonio.report_to_dict(report)))
+    print(jsonio.report_text(report))
     return 0
 
 
 def _cmd_enum(args):
     cf = _as_form(jsonio.load(args.file))
     families = enumerate_minimal(cf, r_samples=_parse_rationals(args.r, "--r"), cap=args.cap)
-    print(jsonio.dumps({"families": jsonio.families_to_list(families)}))
+    print(jsonio.enum_text(families))
     return 0
 
 

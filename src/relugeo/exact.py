@@ -107,7 +107,8 @@ def rat(value) -> Fraction:
 
 def rat_str(value: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is one."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

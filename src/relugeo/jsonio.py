@@ -4,8 +4,9 @@ Rationals serialize as "p/q" or "p" and read exactly.  Integer fields (d0,
 d1, orient, d) take non-bool JSON integers, array fields (W1, its rows, b1,
 W2, affine, terms, neurons, d, declared breaklines) JSON arrays.
 
-`report_to_dict` and `families_to_list` build one dict per distinct `Neuron`,
-which `dumps` prints once, byte-for-byte as ``json.dumps(obj, indent=2)``.
+`report_text` and `enum_text` write `classify` and `enum` reports straight to
+text, byte-for-byte ``json.dumps(obj, indent=2)``, rendering each distinct
+`Neuron` once; `report_to_dict` is the parse of that text.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from json.encoder import encode_basestring_ascii as _encode
 from .canonical import CanonicalForm, Different, Equal, EqualUpToAffine
 from .errors import DimensionMismatch, SchemaError
 from .exact import primitive_direction, rat, rat_str
-from .minimality import KIND_FRESH, MinimalityReport, RepresentationFamily
+from .minimality import KIND_FRESH, MinimalityReport
 from .network import Breakline, EffectiveTuple, Neuron, ShallowNet
 from .pwa import PWASpec, expr_dim, parse_pwa
 from .synthesis import Violation
@@ -70,8 +71,8 @@ def _neuron_to_dict(nr: Neuron) -> dict:
     return {**_breakline_to_dict(nr.breakline), "kink": rat_str(nr.kink), "orient": nr.orientation}
 
 
-def tuple_to_dict(t: EffectiveTuple, neuron_to_dict=_neuron_to_dict) -> dict:
-    return {"neurons": [neuron_to_dict(nr) for nr in t.neurons], "bias": rat_str(t.out_bias)}
+def tuple_to_dict(t: EffectiveTuple) -> dict:
+    return {"neurons": [_neuron_to_dict(nr) for nr in t.neurons], "bias": rat_str(t.out_bias)}
 
 
 def tuple_from_dict(data: dict) -> EffectiveTuple:
@@ -96,37 +97,80 @@ def form_from_dict(data: dict) -> CanonicalForm:
     return CanonicalForm(terms, _list(data["affine"]), data["bias"], _int(data["d0"]))
 
 
-def family_to_dict(fam: RepresentationFamily, neuron_to_dict=_neuron_to_dict) -> dict:
-    out = {
-        "kind": fam.kind,
-        "sigma": list(fam.sigma),
-        "provenance": [j + 1 for j in fam.provenance],
-        "tuples": [tuple_to_dict(t, neuron_to_dict) for t in fam.tuples],
-    }
-    if fam.kind == KIND_FRESH:
-        out["r_values"] = [rat_str(r) for r in fam.r_values]
-    return out
+# A newline plus the indentation of each depth of a report, in steps of two spaces
+_PAD = ["\n" + "  " * depth for depth in range(9)]
 
 
-def families_to_list(families) -> list:
-    """The families' dicts, sharing one dict per distinct `Neuron` object."""
-    shared = {}  # id of a neuron, kept alive by ``families``, to its dict
+def _array(items: list, depth: int) -> str:
+    """``json.dumps(indent=2)`` of a list at ``depth`` whose items are already text."""
+    inner = "," + _PAD[depth + 1]
+    return f"[{_PAD[depth + 1]}{inner.join(items)}{_PAD[depth]}]" if items else "[]"
 
-    def neuron_to_dict(nr):
-        return shared.get(id(nr)) or shared.setdefault(id(nr), _neuron_to_dict(nr))
 
-    return [family_to_dict(f, neuron_to_dict) for f in families]
+def _families_text(head: str, families, tail: str) -> str:
+    """``head``, the families' JSON array at depth 1, then ``tail``, in one join
+    (a report's one copy of its text); each distinct `Neuron` is rendered once."""
+    lines = {}  # a direction to its JSON array
+    neurons = {}  # the id of a neuron, kept alive by ``families``, to its text
+
+    def neuron(nr):  # renders a neuron met for the first time
+        bl = nr.breakline
+        if (d := lines.get(bl.direction)) is None:
+            d = lines[bl.direction] = _array(list(map(str, bl.direction)), 7)
+        text = neurons[id(nr)] = (
+            f'{{{_PAD[7]}"d": {d},{_PAD[7]}"q": "{rat_str(bl.offset)}",'
+            f'{_PAD[7]}"kink": "{rat_str(nr.kink)}",{_PAD[7]}"orient": {nr.orientation}{_PAD[6]}}}'
+        )
+        return text
+
+    def family(fam):
+        tuples = [
+            f'{{{_PAD[5]}"neurons": '
+            f"{_array([neurons.get(id(nr)) or neuron(nr) for nr in t.neurons], 5)},"
+            f'{_PAD[5]}"bias": "{rat_str(t.out_bias)}"{_PAD[4]}}}'
+            for t in fam.tuples
+        ]
+        out = (
+            f'{{{_PAD[3]}"kind": {_encode(fam.kind)},'
+            f'{_PAD[3]}"sigma": {_array(list(map(str, fam.sigma)), 3)},'
+            f'{_PAD[3]}"provenance": {_array([str(j + 1) for j in fam.provenance], 3)},'
+            f'{_PAD[3]}"tuples": {_array(tuples, 3)}'
+        )
+        if fam.kind == KIND_FRESH:
+            r_values = _array([f'"{rat_str(r)}"' for r in fam.r_values], 3)
+            out += f',{_PAD[3]}"r_values": {r_values}'
+        return out + _PAD[2] + "}"
+
+    items = [family(f) for f in families]
+    if not items:
+        return f"{head}[]{tail}"
+    items[0] = f"{head}[{_PAD[2]}{items[0]}"
+    items[-1] = f"{items[-1]}{_PAD[1]}]{tail}"
+    return ("," + _PAD[2]).join(items)
+
+
+def report_text(report: MinimalityReport) -> str:
+    """`classify`'s report, exactly ``json.dumps(report_to_dict(report), indent=2)``."""
+    components = [
+        f'{{{_PAD[3]}"dim": {dim},{_PAD[3]}"count": "{count}"{_PAD[2]}}}'
+        for dim, count in report.manifold_components
+    ]
+    return _families_text(
+        f'{{{_PAD[1]}"case": {_encode(report.case)},{_PAD[1]}"min_width": {report.min_width},'
+        f'{_PAD[1]}"families": ',
+        report.families,
+        f',{_PAD[1]}"components": {_array(components, 1)}{_PAD[0]}}}',
+    )
+
+
+def enum_text(families) -> str:
+    """`enum`'s output, exactly ``json.dumps({"families": [...]}, indent=2)``."""
+    return _families_text(f'{{{_PAD[1]}"families": ', families, _PAD[0] + "}")
 
 
 def report_to_dict(report: MinimalityReport) -> dict:
-    return {
-        "case": report.case,
-        "min_width": report.min_width,
-        "families": families_to_list(report.families),
-        "components": [
-            {"dim": dim, "count": str(count)} for dim, count in report.manifold_components
-        ],
-    }
+    """The report as JSON data: the parse of `report_text`, which decides every byte."""
+    return json.loads(report_text(report))
 
 
 def verdict_to_dict(result) -> dict:
@@ -199,22 +243,18 @@ def dumps(data) -> str:
     """Deterministic serialization used everywhere output must be byte-stable.
 
     Exactly ``json.dumps(data, indent=2)`` for trees of str-keyed dicts,
-    lists, str and int; other scalars go to ``json.dumps``.  A dict of
-    scalars and scalar lists, such as a neuron, is rendered once per object
-    and depth, through an ``id``-keyed memo that lives for this one call:
-    ``data`` must not be mutated during it.
+    lists, str and int; other scalars go to ``json.dumps``.
     """
     scalars = {str: _encode, int: int.__repr__}  # exact types: bool goes to json.dumps
-    memo, out = {}, []  # out holds the text in chunks, joined once at the end
+    out = []  # the text in chunks, joined once at the end
 
     def emit(o, pad):  # appends o's text to out; pad is a newline plus o's indentation
         scalar = scalars.get(type(o))
         if scalar:
             out.append(scalar(o))
         elif isinstance(o, dict):
-            key, start = (id(o), len(pad)), len(out)
-            if key in memo or not o:
-                out.append(memo.get(key, "{}"))
+            if not o:
+                out.append("{}")
                 return
             sep, inner = "{" + pad + "  ", pad + "  "
             for k, v in o.items():
@@ -222,8 +262,6 @@ def dumps(data) -> str:
                 emit(v, inner)
                 sep = "," + inner
             out.append(pad + "}")
-            if len(out) - start == 2 * len(o) + 1:  # each value one chunk: a leaf, keep it
-                out[start:] = [memo.setdefault(key, "".join(out[start:]))]
         elif isinstance(o, (list, tuple)):
             kinds, inner = set(map(type, o)), pad + "  "
             scalar = scalars.get(kinds.pop()) if len(kinds) == 1 else None
