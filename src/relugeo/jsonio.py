@@ -118,8 +118,8 @@ def _families_text(head: str, families, tail: str) -> str:
         if (d := lines.get(bl.direction)) is None:
             d = lines[bl.direction] = _array(list(map(str, bl.direction)), 7)
         text = neurons[id(nr)] = (
-            f'{{{_PAD[7]}"d": {d},{_PAD[7]}"q": "{rat_str(bl.offset)}",'
-            f'{_PAD[7]}"kink": "{rat_str(nr.kink)}",{_PAD[7]}"orient": {nr.orientation}{_PAD[6]}}}'
+            f'{{{_PAD[7]}"d": {d},{_PAD[7]}"q": "{bl.offset!s}",'
+            f'{_PAD[7]}"kink": "{nr.kink!s}",{_PAD[7]}"orient": {nr.orientation}{_PAD[6]}}}'
         )
         return text
 
@@ -127,7 +127,7 @@ def _families_text(head: str, families, tail: str) -> str:
         tuples = [
             f'{{{_PAD[5]}"neurons": '
             f"{_array([neurons.get(id(nr)) or neuron(nr) for nr in t.neurons], 5)},"
-            f'{_PAD[5]}"bias": "{rat_str(t.out_bias)}"{_PAD[4]}}}'
+            f'{_PAD[5]}"bias": "{t.out_bias!s}"{_PAD[4]}}}'
             for t in fam.tuples
         ]
         out = (
@@ -137,8 +137,7 @@ def _families_text(head: str, families, tail: str) -> str:
             f'{_PAD[3]}"tuples": {_array(tuples, 3)}'
         )
         if fam.kind == KIND_FRESH:
-            r_values = _array([f'"{rat_str(r)}"' for r in fam.r_values], 3)
-            out += f',{_PAD[3]}"r_values": {r_values}'
+            out += f',{_PAD[3]}"r_values": ' + _array([f'"{r!s}"' for r in fam.r_values], 3)
         return out + _PAD[2] + "}"
 
     items = [family(f) for f in families]

@@ -17,7 +17,8 @@ normals and finds J, J(m) or J(m, m') by meet in the middle, with no linear
 solve per pattern; ``compute_J``, ``compute_J_single`` and ``compute_J_pair``
 are public reads of it.  One construction, ``_split_family``, builds the
 exact, duplicated-breakline and duplicated-pair families: split an opposite
-neuron off 0, 1 or 2 terms.
+neuron off 0, 1 or 2 terms.  Families read the table's integers too, and
+each kink and bias they emit is one ``Fraction(num, den)``.
 
 The brute-force oracle at the bottom re-derives the minimal width by direct
 search over neuron-to-breakline assignments and exact linear solving, without
@@ -114,7 +115,7 @@ def _scan(cf, gens, cap):
     if len(set(gens)) < len(gens):
         raise EqualDirections("the two directions must differ")
     *_, normals = _span(gens, cf.d0)
-    return _span_patterns(_corrections(cf)[1], normals)
+    return _span_patterns(_corrections(cf)[0], normals)
 
 
 def compute_J(cf: CanonicalForm, cap: int = DEFAULT_CAP):
@@ -140,7 +141,7 @@ def verify_representation(cf: CanonicalForm, t: EffectiveTuple) -> bool:
 
 
 def _corrections(cf):
-    """(m, halves, correction): the form's one table of integer running sums.
+    """(halves, (m, m_b, correction)): the form's one table of integer running sums.
 
     m is the lcm of the kink and affine denominators and m_b that of the bias
     and each kink * offset, so (m * a_sigma, m_b * b_sigma) is the integer
@@ -148,7 +149,7 @@ def _corrections(cf):
     ``halves`` = (heads, tails) holds the sums over each half of the steps,
     {pattern: sum} in product order, so that with h = n // 2 the row is
     heads[sigma[:h]] + tails[sigma[h:]]; a level adds one step to each sum.
-    ``correction(sigma)`` reads (m * a_sigma, b_sigma) off them.
+    ``correction(sigma)`` reads the integer row (m * a_sigma, m_b * b_sigma) off them.
     """
     scaled, m = scaled_point(cf.affine + cf.kinks)
     (bias, *kq), m_b = scaled_point((cf.bias, *(k * bl.offset for bl, k in cf.terms)))
@@ -160,46 +161,46 @@ def _corrections(cf):
         for step in part:
             level = [t for s in level for t in (s, tuple(map(add, s, step)))]
         halves.append(dict(zip(product((1, -1), repeat=len(part)), level)))
-
-    def correction(sigma):
-        *a, b = map(add, halves[0][sigma[:h]], halves[1][sigma[h:]])
-        return a, Fraction(b, m_b)
-
-    return m, halves, correction
+    correction = lambda sigma: map(add, halves[0][sigma[:h]], halves[1][sigma[h:]])
+    return halves, (m, m_b, correction)
 
 
-def _split_family(cf, kind, sigma, js, reads, den, correction, oriented):
+def _split_family(cf, kind, sigma, js, reads, p, table, oriented):
     """The form's terms with orientations sigma, each term in js split in two.
 
     a_sigma = sum of delta_j * direction_j over js; term j keeps orientation
     +1 with kink kink_j + delta_j and gains an opposite neuron with kink
     -delta_j, which absorbs a_sigma.  With js empty this is the exact family.
+    In integers, delta_j = R_j / (m * p) with R_j = reads_j . (m * a_sigma) (see
+    ``_span``), so each kink, and the bias over one denominator, is one Fraction.
     ``oriented[i][s]``, term i with orientation s, is shared by all families.
     """
-    a_sigma, b_sigma = correction(sigma)
-    deltas = [Fraction(sum(map(mul, r, a_sigma)), den) for r in reads]  # den = m * p, see _span
+    m, m_b, correction = table
+    (*a, b), den = correction(sigma), m * p
     neurons = list(map(dict.__getitem__, oriented, sigma))
-    for j, delta in zip(js, deltas):  # sigma_j = 1 on every split term
-        bl, k = cf.terms[j]
-        assert delta != 0 and k + delta != 0, "would contradict minimality"
-        neurons[j] = Neuron(bl, k + delta, 1)
-        b_sigma += delta * bl.offset
-    neurons.extend(Neuron(cf.terms[j][0], -delta, -1) for j, delta in zip(js, deltas))
-    return RepresentationFamily(kind, sigma, js, (EffectiveTuple(tuple(neurons), b_sigma),))
+    for j, row in zip(js, reads):  # sigma_j = 1 on every split term
+        (bl, k), R = cf.terms[j], sum(map(mul, row, a))
+        kn, kd, qn, qd = k.numerator, k.denominator, bl.offset.numerator, bl.offset.denominator
+        assert R != 0 and kn * den + R * kd != 0, "would contradict minimality"
+        neurons[j] = Neuron(bl, Fraction(kn * den + R * kd, kd * den), 1)
+        neurons.append(Neuron(bl, Fraction(-R, den), -1))
+        b, m_b = b * den * qd + R * qn * m_b, m_b * den * qd  # b / m_b += R / den * q_j
+    return RepresentationFamily(kind, sigma, js, (EffectiveTuple(neurons, Fraction(b, m_b)),))
 
 
-def _fresh_line_family(sigma, correction, m, r_values, oriented):
-    a_sigma, b_sigma = correction(sigma)
-    # a_sigma = s * d with d primitive and lex-positive, and on each {d.x = r}
-    # the pair s*(d.x - r)_+ - s*(-(d.x - r))_+ sums to a_sigma.x - s*r
-    d, g = primitive_row(a_sigma)
+def _fresh_line_family(sigma, table, r_values, oriented):
+    """Sigma's extra-breakline family: m * a_sigma = g * d, d primitive and lex-positive,
+    so a_sigma = s * d with s = g / m; on each {d.x = r} the pair s*(d.x - r)_+ -
+    s*(-(d.x - r))_+ adds a_sigma.x - s*r, and b_sigma + s*r is one Fraction."""
+    m, m_b, correction = table
+    (*a, b), tuples = correction(sigma), []
+    d, g = primitive_row(a)
     s = Fraction(g, m)
     terms = tuple(map(dict.__getitem__, oriented, sigma))
-    tuples = []
     for r in r_values:
-        bl = Breakline(d, r)
-        pair = (Neuron(bl, s, 1), Neuron(bl, -s, -1))
-        tuples.append(EffectiveTuple(terms + pair, s * bl.offset + b_sigma))
+        bl, rn, rd = Breakline(d, r), r.numerator, r.denominator
+        neurons = terms + (Neuron(bl, s, 1), Neuron(bl, -s, -1))
+        tuples.append(EffectiveTuple(neurons, Fraction(g * rn * m_b + b * m * rd, m * rd * m_b)))
     return RepresentationFamily(KIND_FRESH, sigma, (), tuple(tuples), tuple(r_values))
 
 
@@ -219,7 +220,7 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
     if cf.is_affine() and is_zero(cf.affine):
         return []
 
-    scale, halves, correction = _corrections(cf)
+    halves, table = _corrections(cf)
     dirs = sorted({bl.direction for bl in cf.breaklines})  # distinct, so no group repeats one
     oriented = [{s: Neuron(b, k, s) for s in (1, -1)} for b, k in cf.terms]
     cases = (
@@ -230,14 +231,14 @@ def enumerate_minimal(cf: CanonicalForm, r_samples=(0,), cap: int = DEFAULT_CAP)
     for kind, groups in cases:
         # in case III every pattern also gives an extra-breakline family
         patterns = product((1, -1), repeat=cf.n) if kind == KIND_PAIR else ()
-        families = [_fresh_line_family(s, correction, scale, r_values, oriented) for s in patterns]
+        families = [_fresh_line_family(s, table, r_values, oriented) for s in patterns]
         for ms in groups:
             reads, p, normals = _span(ms, cf.d0)
             hits = _span_patterns(halves, normals)
             on_ms = ([i for i, bl in enumerate(cf.breaklines) if bl.direction == m] for m in ms)
             for js in product(*on_ms):
                 families.extend(
-                    _split_family(cf, kind, sigma, js, reads, scale * p, correction, oriented)
+                    _split_family(cf, kind, sigma, js, reads, p, table, oriented)
                     for sigma in hits
                     if all(sigma[j] == 1 for j in js)
                 )

@@ -78,7 +78,7 @@ class EffectiveTuple:
     def __post_init__(self):
         object.__setattr__(self, "neurons", tuple(self.neurons))
         object.__setattr__(self, "out_bias", rat(self.out_bias))
-        dims = {nr.breakline.d0 for nr in self.neurons}
+        dims = {len(nr.breakline.direction) for nr in self.neurons}
         if len(dims) > 1:
             raise DimensionMismatch(f"neurons of mixed breakline dimensions {sorted(dims)}")
 
