@@ -7,7 +7,9 @@ with nonzero effective kinks plus an affine remainder:
 
 Canonicalization makes equality of responses a syntactic comparison: terms are
 sorted by (direction, offset), so two tuples represent the same function iff
-their canonical forms are identical.
+their canonical forms are identical.  There is one canonicalization, ``_form``,
+over integer neurons: ``canonicalize`` feeds it a tuple's neurons and
+``_net_form`` a raw net's integer rows, with no per-neuron objects between.
 """
 
 from __future__ import annotations
@@ -15,18 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import mul, sub
 
-from .errors import DimensionMismatch, LengthMismatch
-from .exact import compiled, rat, vec
+from .errors import DegenerateNeuron, DimensionMismatch, LengthMismatch
+from .exact import compiled, primitive_row, rat, vec
 from .network import (
     Breakline,
     EffectiveTuple,
     Neuron,
     ShallowNet,
     _trusted,
-    effective_tuple,
     response_kernel,
 )
 
@@ -85,48 +86,66 @@ class CanonicalForm:
 
 
 def canonicalize(t: EffectiveTuple, d0: int | None = None) -> CanonicalForm:
-    """Unique canonical form of a tuple's response.
-
-    Negatively oriented neurons are rewritten through
-    k*(-(d.x-q))_+ = k*(d.x-q)_+ - k*(d.x-q) (``_kink_sums``), kinks are
-    summed per breakline and breaklines with vanishing effective kink are
-    dropped.
-    """
+    """Unique canonical form of a tuple's response (``_form``)."""
     if d0 is None:
         d0 = t.d0
     elif t.neurons and t.d0 != d0:
         raise DimensionMismatch("neuron dimension does not match d0")
-    effective: dict[Breakline, list[Fraction]] = {}
-    for nr in t.neurons:
-        effective.setdefault(nr.breakline, []).append(nr.kink)
-    flipped = ((nr.breakline, nr.kink) for nr in t.neurons if nr.orientation == -1)
-    kd, kq = _kink_sums(flipped, d0)
-    kinks = ((bl, ks[0] if len(ks) == 1 else sum(ks)) for bl, ks in effective.items())
-    terms = tuple(
-        (bl, k) for bl, k in sorted(kinks, key=lambda it: (it[0].direction, it[0].offset)) if k
-    )
-    fields = (terms, tuple(-a for a in kd), t.out_bias + kq, d0)
+    neurons = [_integer(nr.breakline, nr.kink, nr.orientation) for nr in t.neurons]
+    return _form(neurons, t.out_bias, d0)
+
+
+def _integer(bl, k, o):
+    """The integer neuron (``_form``) on ``bl`` with kink k and orientation o."""
+    return bl.direction, bl.offset.numerator, bl.offset.denominator, k.numerator, k.denominator, o
+
+
+def _net_form(net: ShallowNet) -> CanonicalForm:
+    """Canonical form of a net (``_form``): its row (W, B, D) with W = g d, d
+    primitive, and output weight w2 is the neuron on {d.x = -B / g} with kink
+    w2 |g| / D, oriented as g.  The first degenerate neuron raises
+    DegenerateNeuron, as in ``effective_tuple``."""
+    neurons = []
+    for j, ((W, B, D), w2) in enumerate(zip(net.rows, net.w2)):
+        if not w2 or not any(W):
+            raise DegenerateNeuron(j + 1)
+        d, g = primitive_row(W)
+        a = abs(g)
+        h = gcd(B, a)
+        q = (B if g < 0 else -B) // h, a // h
+        neurons.append((d, *q, w2.numerator * a, w2.denominator * D, g))
+    return _form(neurons, net.b2, net.d0)
+
+
+def _form(neurons, bias, d0) -> CanonicalForm:
+    """The one canonicalization, of bias + sum kn / kd * (o (d.x - qn / qd))_+ over
+    integer neurons (d, qn, qd, kn, kd, o), with qn / qd in lowest terms and o < 0
+    for a negative orientation.
+
+    Kinks are summed per breakline (d, qn, qd) in integers, and breaklines whose
+    kinks cancel dropped.  A flipped neuron moves -k d into the affine part and
+    k q into the bias, as k*(-(d.x-q))_+ = k*(d.x-q)_+ - k*(d.x-q); each sum is
+    taken over one common denominator.  Only surviving terms get a `Breakline`
+    and Fractions.
+    """
+    kinks, flipped = {}, []
+    for nr in neurons:
+        d, qn, qd, kn, kd, o = nr
+        p, r = kinks.get(key := (d, qn, qd), (0, 1))
+        kinks[key] = p * kd + kn * r, r * kd
+        if o < 0:
+            flipped.append(nr)
+    m, n = lcm(*(nr[4] for nr in flipped)), lcm(*(nr[2] * nr[4] for nr in flipped))
+    c, kq = [], 0
+    for _, qn, qd, kn, kd, _ in flipped:
+        c.append(kn * (m // kd))
+        kq += qn * kn * (n // (qd * kd))
+    affine = [sum(map(mul, col, c)) for col in zip(*(nr[0] for nr in flipped))] or [0] * d0
+    terms = sorted((d, Fraction(qn, qd), Fraction(*k)) for (d, qn, qd), k in kinks.items() if k[0])
+    terms = tuple((_trusted(Breakline, d, q), k) for d, q, k in terms)
+    fields = (terms, tuple(Fraction(-e, m) for e in affine), bias + Fraction(kq, n), d0)
     # with neurons, d0 is theirs and every field is valid by construction
-    return _trusted(CanonicalForm, *fields) if t.neurons else CanonicalForm(*fields)
-
-
-def _kink_sums(pairs, d0) -> tuple[tuple[Fraction, ...], Fraction]:
-    """(sum k*d, sum k*q) over (breakline, kink) pairs, each an integer sum over
-    one common denominator: what flipping the pairs' orientations moves into
-    the affine part and bias."""
-    pairs = list(pairs)
-    m = lcm(*(k.denominator for _, k in pairs))
-    kd = [0] * d0
-    for bl, k in pairs:
-        c = k.numerator * (m // k.denominator)
-        for i, e in enumerate(bl.direction):
-            kd[i] += c * e
-    n = lcm(*(k.denominator * bl.offset.denominator for bl, k in pairs))
-    kq = sum(
-        k.numerator * bl.offset.numerator * (n // (k.denominator * bl.offset.denominator))
-        for bl, k in pairs
-    )
-    return tuple(Fraction(a, m) for a in kd), Fraction(kq, n)
+    return _trusted(CanonicalForm, *fields) if kinks else CanonicalForm(*fields)
 
 
 def evaluate_cf(cf: CanonicalForm, x) -> Fraction:
@@ -142,8 +161,8 @@ def sigma_affine(cf: CanonicalForm, sigma) -> tuple[tuple[Fraction, ...], Fracti
     sigma = tuple(sigma)
     if len(sigma) != cf.n:
         raise LengthMismatch(f"{len(sigma)} orientations for {cf.n} terms")
-    kd, kq = _kink_sums((term for s, term in zip(sigma, cf.terms) if s == -1), cf.d0)
-    return tuple(map(add, cf.affine, kd)), cf.bias - kq
+    moved = _form([_integer(bl, k, s) for (bl, k), s in zip(cf.terms, sigma)], 0, cf.d0)
+    return tuple(map(sub, cf.affine, moved.affine)), cf.bias - moved.bias
 
 
 def sigma_tuple(cf: CanonicalForm, sigma, out_bias=0) -> EffectiveTuple:
@@ -179,7 +198,7 @@ def _as_form(obj) -> CanonicalForm:
     if isinstance(obj, CanonicalForm):
         return obj
     if isinstance(obj, ShallowNet):
-        obj = effective_tuple(obj)
+        return _net_form(obj)
     if isinstance(obj, EffectiveTuple):
         return canonicalize(obj)
     raise ValueError("expected a net, effective tuple or canonical form")
@@ -195,13 +214,8 @@ def equivalence(x, y):
     cf1, cf2 = _as_form(x), _as_form(y)
     if cf1.d0 != cf2.d0:
         raise DimensionMismatch("inputs live in different ambient dimensions")
-    if cf1.terms != cf2.terms:
-        kinks1 = dict(cf1.terms)
-        kinks2 = dict(cf2.terms)
-        for bl in sorted(set(kinks1) | set(kinks2), key=lambda b: (b.direction, b.offset)):
-            if kinks1.get(bl, Fraction(0)) != kinks2.get(bl, Fraction(0)):
-                return Different(bl)
-        raise AssertionError("term lists differ but all effective kinks agree")
+    if cf1.terms != cf2.terms:  # the first breakline, in term order, whose kinks differ
+        return Different(min(bl for bl, _ in set(cf1.terms) ^ set(cf2.terms)))
     if cf1.affine == cf2.affine and cf1.bias == cf2.bias:
         return Equal()
     return EqualUpToAffine(

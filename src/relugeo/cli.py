@@ -47,7 +47,7 @@ def _parse_rationals(text, flag):
 
 def _cmd_canon(args):
     cf = _as_form(jsonio.load(args.file))
-    print(jsonio.dumps(jsonio.form_to_dict(cf)))
+    print(jsonio.form_text(cf))
     return 0
 
 

@@ -44,6 +44,23 @@ _PLAIN = r"[-+]?[0-9]+(?:/0*[1-9][0-9]*)?"
 _PLAIN_ROW = re.compile(rf"{_PLAIN}(?:,{_PLAIN})*", re.ASCII)
 
 
+def block_parts(text, count):
+    """``(nums, dens)``, unreduced, of ``count`` literals joined by "," in
+    ``text`` if all are plain, as ``row_parts`` reads them, else None.
+
+    One pattern check, then "p" is read as "p/1" and every part by one ``int``.
+    """
+    literals = text.split(",")
+    if len(literals) != count or not _PLAIN_ROW.fullmatch(text):
+        return None
+    text = ",".join([s if "/" in s else s + "/1" for s in literals])
+    try:
+        flat = list(map(int, text.replace("/", ",").split(",")))
+    except ValueError:  # more digits than int() allows
+        return None
+    return flat[0::2], flat[1::2]
+
+
 def row_parts(values) -> list[tuple[int, int]]:
     """``rat_parts`` of each entry of a row, with its errors, up to reduction.
 

@@ -6,7 +6,8 @@ W2, affine, terms, neurons, d, declared breaklines) JSON arrays.
 
 `report_text` and `enum_text` write `classify` and `enum` reports straight to
 text, byte-for-byte ``json.dumps(obj, indent=2)``, rendering each distinct
-`Neuron` once; `report_to_dict` is the parse of that text.
+`Neuron` once, and `form_text` writes `canon`'s form the same way;
+`report_to_dict` and `form_to_dict` are the parses of those texts.
 """
 
 from __future__ import annotations
@@ -84,12 +85,8 @@ def tuple_from_dict(data: dict) -> EffectiveTuple:
 
 
 def form_to_dict(cf: CanonicalForm) -> dict:
-    return {
-        "terms": [{**_breakline_to_dict(bl), "kink": rat_str(k)} for bl, k in cf.terms],
-        "affine": [rat_str(e) for e in cf.affine],
-        "bias": rat_str(cf.bias),
-        "d0": cf.d0,
-    }
+    """The form as JSON data: the parse of `form_text`, which decides every byte."""
+    return json.loads(form_text(cf))
 
 
 def form_from_dict(data: dict) -> CanonicalForm:
@@ -105,6 +102,23 @@ def _array(items: list, depth: int) -> str:
     """``json.dumps(indent=2)`` of a list at ``depth`` whose items are already text."""
     inner = "," + _PAD[depth + 1]
     return f"[{_PAD[depth + 1]}{inner.join(items)}{_PAD[depth]}]" if items else "[]"
+
+
+def form_text(cf: CanonicalForm) -> str:
+    """`canon`'s output, exactly ``json.dumps(form_to_dict(cf), indent=2)``; each
+    distinct direction is rendered once."""
+    lines, terms = {}, []  # lines: a direction to its JSON array
+    for bl, k in cf.terms:
+        if (d := lines.get(bl.direction)) is None:
+            d = lines[bl.direction] = _array(list(map(str, bl.direction)), 3)
+        terms.append(
+            f'{{{_PAD[3]}"d": {d},{_PAD[3]}"q": "{bl.offset!s}",{_PAD[3]}"kink": "{k!s}"{_PAD[2]}}}'
+        )
+    affine = _array([f'"{e!s}"' for e in cf.affine], 1)
+    return (
+        f'{{{_PAD[1]}"terms": {_array(terms, 1)},{_PAD[1]}"affine": {affine},'
+        f'{_PAD[1]}"bias": "{cf.bias!s}",{_PAD[1]}"d0": {cf.d0}{_PAD[0]}}}'
+    )
 
 
 def _families_text(head: str, families, tail: str) -> str:

@@ -12,9 +12,10 @@ c > 0, so every exact statement survives the integer rescaling.
 
 A raw network holds hidden neuron j as the integer row (W_j, B_j, D_j) with
 w1_j = W_j / D_j, b1_j = B_j / D_j and D_j the lcm of their denominators,
-parsed a row at a time from the weight literals and reduced once per neuron.
-The effective tuple is read off these rows in integers and ``evaluate_net``
-compiles them, so raw networks do no per-entry Fraction arithmetic.
+parsed from the weight literals a block of W1 rows at a time and reduced once
+per neuron.  The effective tuple and the canonical form are read off these
+rows in integers and ``evaluate_net`` compiles them, so raw networks do no
+per-entry Fraction arithmetic.
 
 Tuples, forms (``response_kernel``) and raw nets (``evaluate_net``) compile
 to one integer kernel, ``_relu_kernel``, wrapped by ``exact.compiled``; its
@@ -29,10 +30,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale
 from .exact import compiled, dot, is_zero, primitive_direction, primitive_row, rat, relu_sum
-from .exact import row_parts, vec
+from .exact import block_parts, row_parts, vec
 
 
 @dataclass(frozen=True, order=True)
@@ -103,10 +105,12 @@ class ShallowNet:
     """Raw configuration (W1, b1, W2, b2) over exact rationals, output dimension 1.
 
     Hidden neuron j is held as the integer row ``(W_j, B_j, D_j)``, the
-    primitive integer vector with D_j > 0 proportional to (w1_j, b1_j, 1): each
-    weight row is parsed in one pass (``exact.row_parts``) and divided by its
-    gcd once.  That row is unique, so equality is equality of weights.  ``w1``
-    and ``b1`` give the weights back as Fractions.
+    primitive integer vector with D_j > 0 proportional to (w1_j, b1_j, 1),
+    divided by its gcd once.  Plain literals are parsed ``_BLOCK`` W1 rows at
+    a time (``_plain_weights``); anything else goes row by row through
+    ``exact.row_parts``, which raises the errors.  That row is unique, so
+    equality is equality of weights.  ``w1`` and ``b1`` give the weights back
+    as Fractions.
     """
 
     rows: tuple[tuple[tuple[int, ...], int, int], ...]
@@ -114,27 +118,22 @@ class ShallowNet:
     b2: Fraction
 
     def __init__(self, w1, b1, w2, b2):
-        w1 = [row_parts(row) for row in w1]
-        b1 = row_parts(b1)
-        w2 = tuple(Fraction(*parts) for parts in row_parts(w2))
+        parsed = _plain_weights(w1, b1, w2)
+        if parsed is None:  # not plain or of no valid shape: row by row, with its errors
+            w1, b1, w2 = [row_parts(row) for row in w1], row_parts(b1), row_parts(w2)
         b2 = rat(b2)
-        d1 = len(w1)
-        if len(b1) != d1 or len(w2) != d1:
-            raise DimensionMismatch("b1/W2 length must equal the number of hidden neurons")
-        if d1 == 0:
-            raise DimensionMismatch("need at least one hidden neuron")
-        d0 = len(w1[0])
-        if any(len(row) != d0 for row in w1):
-            raise DimensionMismatch("W1 rows of unequal length")
-        rows = []
-        for row, (bn, bd) in zip(w1, b1):
-            den = lcm(bd, *(d for _, d in row))
-            W, B = [n * (den // d) for n, d in row], bn * (den // bd)
-            if (g := gcd(den, B, *W)) > 1:
-                W, B, den = [e // g for e in W], B // g, den // g
-            rows.append((tuple(W), B, den))
-        object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "w2", w2)
+        if parsed is None:
+            d1 = len(w1)
+            if len(b1) != d1 or len(w2) != d1:
+                raise DimensionMismatch("b1/W2 length must equal the number of hidden neurons")
+            if d1 == 0:
+                raise DimensionMismatch("need at least one hidden neuron")
+            if any(len(row) != len(w1[0]) for row in w1):
+                raise DimensionMismatch("W1 rows of unequal length")
+            rows = [_row([n for n, _ in row], [d for _, d in row], *b) for row, b in zip(w1, b1)]
+            parsed = rows, tuple(Fraction(*parts) for parts in w2)
+        object.__setattr__(self, "rows", tuple(parsed[0]))
+        object.__setattr__(self, "w2", parsed[1])
         object.__setattr__(self, "b2", b2)
 
     def __repr__(self):
@@ -155,6 +154,40 @@ class ShallowNet:
     @property
     def d1(self) -> int:
         return len(self.rows)
+
+
+# W1 rows parsed as one text: a bounded block, never the whole matrix at once
+_BLOCK = 64
+
+
+def _plain_weights(w1, b1, w2):
+    """``(rows, w2)`` of weights of a valid shape whose literals are all plain,
+    W1 parsed ``_BLOCK`` rows at a time (``exact.block_parts``), else None."""
+    try:
+        d1, d0 = len(w1), len(w1[0]) if isinstance(w1, (list, tuple)) and w1 else 0
+        if not d0 or len(b1) != d1 or len(w2) != d1 or set(map(len, w1)) != {d0}:
+            return None
+        if not ((b1 := block_parts(",".join(b1), d1)) and (w2 := block_parts(",".join(w2), d1))):
+            return None
+        (bn, bd), rows = b1, []
+        for i in range(0, d1, _BLOCK):
+            block = w1[i : i + _BLOCK]
+            if not (parts := block_parts(",".join(map(",".join, block)), d0 * len(block))):
+                return None
+            for j, k in enumerate(range(0, d0 * len(block), d0), i):
+                rows.append(_row(parts[0][k : k + d0], parts[1][k : k + d0], bn[j], bd[j]))
+    except TypeError:  # an entry that is not a string, a row without a length
+        return None
+    return rows, tuple(map(Fraction, *w2))
+
+
+def _row(nums, dens, bn, bd):
+    """The neuron row ``(W, B, D)`` of weights nums / dens and bias bn / bd."""
+    den = lcm(bd, *dens)
+    W, B = list(map(mul, nums, map(den.__floordiv__, dens))), bn * (den // bd)
+    if (g := gcd(den, B, *W)) > 1:
+        W, B, den = [e // g for e in W], B // g, den // g
+    return tuple(W), B, den
 
 
 def evaluate_net(net: ShallowNet, x) -> Fraction:
@@ -229,7 +262,8 @@ def _trusted(cls, *values):
     """A frozen dataclass from its field values in order, valid by construction,
     with no ``__post_init__``: the checks belong to the public constructors."""
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)  # no per-instance dict, unlike obj.__dict__
     return obj
 
 
