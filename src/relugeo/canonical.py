@@ -118,16 +118,12 @@ def _net_form(net: ShallowNet) -> CanonicalForm:
 
 
 def _form(neurons, bias, d0) -> CanonicalForm:
-    """The one canonicalization, of bias + sum kn / kd * (o (d.x - qn / qd))_+ over
-    integer neurons (d, qn, qd, kn, kd, o), with qn / qd in lowest terms and o < 0
-    for a negative orientation.
-
-    Kinks are summed per breakline (d, qn, qd) in integers, and breaklines whose
-    kinks cancel dropped.  A flipped neuron moves -k d into the affine part and
-    k q into the bias, as k*(-(d.x-q))_+ = k*(d.x-q)_+ - k*(d.x-q); each sum is
-    taken over one common denominator.  Only surviving terms get a `Breakline`
-    and Fractions.
-    """
+    """The one canonicalization: the form of bias + sum kn/kd (o (d.x - qn/qd))_+
+    over integer neurons (d, qn, qd, kn, kd, o), qn/qd in lowest terms and o < 0
+    for a negative orientation.  Kinks are summed per breakline in integers and
+    cancelled ones dropped; as k (-z)_+ = k z_+ - k z, flipped neurons move -k d
+    and k q into the affine part and bias, each over one common denominator.
+    Only surviving terms get a `Breakline` and Fractions."""
     kinks, flipped = {}, []
     for nr in neurons:
         d, qn, qd, kn, kd, o = nr
