@@ -7,7 +7,8 @@ W2, affine, terms, neurons, d, declared breaklines) JSON arrays.
 `report_text` and `enum_text` write `classify` and `enum` reports straight to
 text, byte-for-byte ``json.dumps(obj, indent=2)``, rendering each distinct
 `Neuron` once, and `form_text` writes `canon`'s form the same way;
-`report_to_dict` and `form_to_dict` are the parses of those texts.
+`report_to_dict` and `form_to_dict` are the parses of those texts.  `dumps`,
+which writes for `equiv`, `synth` and `random`, is ``json.dumps(obj, indent=2)``.
 """
 
 from __future__ import annotations
@@ -253,43 +254,5 @@ def from_dict(data: dict):
 
 
 def dumps(data) -> str:
-    """Deterministic serialization used everywhere output must be byte-stable.
-
-    Exactly ``json.dumps(data, indent=2)`` for trees of str-keyed dicts,
-    lists, str and int; other scalars go to ``json.dumps``.
-    """
-    scalars = {str: _encode, int: int.__repr__}  # exact types: bool goes to json.dumps
-    out = []  # the text in chunks, joined once at the end
-
-    def emit(o, pad):  # appends o's text to out; pad is a newline plus o's indentation
-        scalar = scalars.get(type(o))
-        if scalar:
-            out.append(scalar(o))
-        elif isinstance(o, dict):
-            if not o:
-                out.append("{}")
-                return
-            sep, inner = "{" + pad + "  ", pad + "  "
-            for k, v in o.items():
-                out.append(f"{sep}{_encode(k)}: ")
-                emit(v, inner)
-                sep = "," + inner
-            out.append(pad + "}")
-        elif isinstance(o, (list, tuple)):
-            kinds, inner = set(map(type, o)), pad + "  "
-            scalar = scalars.get(kinds.pop()) if len(kinds) == 1 else None
-            if scalar or not o:
-                out.append(f"[{inner}{(',' + inner).join(map(scalar, o))}{pad}]" if o else "[]")
-                return
-            sep = "[" + inner
-            for v in o:
-                out.append(sep)
-                emit(v, inner)
-                sep = "," + inner
-            out.append(pad + "]")
-        else:
-            out.append(json.dumps(o))
-
-    emit(data, "\n")
-    del emit  # emit holds itself through its cell: without this, out waits for the gc
-    return "".join(out)
+    """What ``equiv``, ``synth`` and ``random`` print: ``json.dumps(data, indent=2)``."""
+    return json.dumps(data, indent=2)

@@ -12,10 +12,10 @@ c > 0, so every exact statement survives the integer rescaling.
 
 A raw network holds hidden neuron j as the integer row (W_j, B_j, D_j) with
 w1_j = W_j / D_j, b1_j = B_j / D_j and D_j the lcm of their denominators,
-parsed from the weight literals a block of W1 rows at a time and reduced once
-per neuron.  The effective tuple and the canonical form are read off these
-rows in integers and ``evaluate_net`` compiles them, so raw networks do no
-per-entry Fraction arithmetic.
+parsed a block of W1 rows at a time (row by row in a block with a literal
+that is not plain) and reduced once per neuron.  The effective tuple and the
+canonical form are read off these rows in integers and ``evaluate_net``
+compiles them, so raw networks do no per-entry Fraction arithmetic.
 
 Tuples, forms (``response_kernel``) and raw nets (``evaluate_net``) compile
 to one integer kernel, ``_relu_kernel``, wrapped by ``exact.compiled``; its
@@ -106,11 +106,11 @@ class ShallowNet:
 
     Hidden neuron j is held as the integer row ``(W_j, B_j, D_j)``, the
     primitive integer vector with D_j > 0 proportional to (w1_j, b1_j, 1),
-    divided by its gcd once.  Plain literals are parsed ``_BLOCK`` W1 rows at
-    a time (``_plain_weights``); anything else goes row by row through
-    ``exact.row_parts``, which raises the errors.  That row is unique, so
-    equality is equality of weights.  ``w1`` and ``b1`` give the weights back
-    as Fractions.
+    divided by its gcd once.  W1 is parsed ``_BLOCK`` rows at a time, then b1
+    and W2 as one block each (``_parts``), a block with a literal that is not
+    plain row by row, with its errors; the rows are built once the shapes are
+    checked.  That row is unique, so equality is equality of weights.
+    ``w1`` and ``b1`` give the weights back as Fractions.
     """
 
     rows: tuple[tuple[tuple[int, ...], int, int], ...]
@@ -118,22 +118,24 @@ class ShallowNet:
     b2: Fraction
 
     def __init__(self, w1, b1, w2, b2):
-        parsed = _plain_weights(w1, b1, w2)
-        if parsed is None:  # not plain or of no valid shape: row by row, with its errors
-            w1, b1, w2 = [row_parts(row) for row in w1], row_parts(b1), row_parts(w2)
+        w1 = list(w1)
+        blocks = [_parts(w1[i : i + _BLOCK]) for i in range(0, len(w1), _BLOCK)]
+        (bn, bd, _), (wn, wd, _) = _parts([b1]), _parts([w2])
         b2 = rat(b2)
-        if parsed is None:
-            d1 = len(w1)
-            if len(b1) != d1 or len(w2) != d1:
-                raise DimensionMismatch("b1/W2 length must equal the number of hidden neurons")
-            if d1 == 0:
-                raise DimensionMismatch("need at least one hidden neuron")
-            if any(len(row) != len(w1[0]) for row in w1):
-                raise DimensionMismatch("W1 rows of unequal length")
-            rows = [_row([n for n, _ in row], [d for _, d in row], *b) for row, b in zip(w1, b1)]
-            parsed = rows, tuple(Fraction(*parts) for parts in w2)
-        object.__setattr__(self, "rows", tuple(parsed[0]))
-        object.__setattr__(self, "w2", parsed[1])
+        widths = set().union(*(lengths for *_, lengths in blocks))
+        if len(bn) != len(w1) or len(wn) != len(w1):
+            raise DimensionMismatch("b1/W2 length must equal the number of hidden neurons")
+        if not w1:
+            raise DimensionMismatch("need at least one hidden neuron")
+        if len(widths) > 1:
+            raise DimensionMismatch("W1 rows of unequal length")
+        rows, (d0,) = [], widths
+        for nums, dens, lengths in blocks:
+            for k in range(len(lengths)):
+                j, start = len(rows), k * d0
+                rows.append(_row(nums[start : start + d0], dens[start : start + d0], bn[j], bd[j]))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "w2", tuple(map(Fraction, wn, wd)))
         object.__setattr__(self, "b2", b2)
 
     def __repr__(self):
@@ -160,25 +162,20 @@ class ShallowNet:
 _BLOCK = 64
 
 
-def _plain_weights(w1, b1, w2):
-    """``(rows, w2)`` of weights of a valid shape whose literals are all plain,
-    W1 parsed ``_BLOCK`` rows at a time (``exact.block_parts``), else None."""
+def _parts(rows):
+    """``(nums, dens, lengths)`` of ``rows``: their parts, unreduced, in one flat
+    list each, and each row's length.  One ``exact.block_parts`` when every
+    entry is plain, else ``exact.row_parts`` per row, which raises the errors."""
     try:
-        d1, d0 = len(w1), len(w1[0]) if isinstance(w1, (list, tuple)) and w1 else 0
-        if not d0 or len(b1) != d1 or len(w2) != d1 or set(map(len, w1)) != {d0}:
-            return None
-        if not ((b1 := block_parts(",".join(b1), d1)) and (w2 := block_parts(",".join(w2), d1))):
-            return None
-        (bn, bd), rows = b1, []
-        for i in range(0, d1, _BLOCK):
-            block = w1[i : i + _BLOCK]
-            if not (parts := block_parts(",".join(map(",".join, block)), d0 * len(block))):
-                return None
-            for j, k in enumerate(range(0, d0 * len(block), d0), i):
-                rows.append(_row(parts[0][k : k + d0], parts[1][k : k + d0], bn[j], bd[j]))
-    except TypeError:  # an entry that is not a string, a row without a length
-        return None
-    return rows, tuple(map(Fraction, *w2))
+        lengths = list(map(len, rows))  # before the join, which would use up a generator
+        parts = block_parts(",".join(map(",".join, rows)), sum(lengths))
+    except TypeError:  # a row without a length, an entry that is not a string
+        parts = None
+    if parts is None:
+        parsed = list(map(row_parts, rows))
+        flat = [p for row in parsed for p in row]
+        return [n for n, _ in flat], [d for _, d in flat], list(map(len, parsed))
+    return *parts, lengths
 
 
 def _row(nums, dens, bn, bd):
