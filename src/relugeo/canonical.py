@@ -7,9 +7,14 @@ with nonzero effective kinks plus an affine remainder:
 
 Canonicalization makes equality of responses a syntactic comparison: terms are
 sorted by (direction, offset), so two tuples represent the same function iff
-their canonical forms are identical.  There is one canonicalization, ``_form``,
-over integer neurons: ``canonicalize`` feeds it a tuple's neurons and
-``_net_form`` a raw net's integer rows, with no per-neuron objects between.
+their canonical forms are identical.  There is one canonicalization over
+integer neurons, in two stages: ``_sums`` sums the kinks per breakline in
+integers and returns the surviving terms with reduced integer kinks, the
+affine part and the bias; ``_build`` sorts the terms and makes their
+`Breakline`s and Fractions.  ``canonicalize`` feeds it a tuple's neurons and
+``_stage`` a raw net's integer rows, with no per-neuron objects between.
+``equivalence`` compares the integer stages of its two inputs and builds a
+`Breakline` only for a ``Different`` witness.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .network import (
     EffectiveTuple,
     Neuron,
     ShallowNet,
+    _reduced,
     _trusted,
     response_kernel,
 )
@@ -86,44 +92,45 @@ class CanonicalForm:
 
 
 def canonicalize(t: EffectiveTuple, d0: int | None = None) -> CanonicalForm:
-    """Unique canonical form of a tuple's response (``_form``)."""
+    """Unique canonical form of a tuple's response (``_sums``, then ``_build``)."""
     if d0 is None:
         d0 = t.d0
     elif t.neurons and t.d0 != d0:
         raise DimensionMismatch("neuron dimension does not match d0")
     neurons = [_integer(nr.breakline, nr.kink, nr.orientation) for nr in t.neurons]
-    return _form(neurons, t.out_bias, d0)
+    return _build(*_sums(neurons, t.out_bias, d0), d0)
 
 
 def _integer(bl, k, o):
-    """The integer neuron (``_form``) on ``bl`` with kink k and orientation o."""
+    """The integer neuron (``_sums``) on ``bl`` with kink k and orientation o."""
     return bl.direction, bl.offset.numerator, bl.offset.denominator, k.numerator, k.denominator, o
 
 
-def _net_form(net: ShallowNet) -> CanonicalForm:
-    """Canonical form of a net (``_form``): its row (W, B, D) with W = g d, d
-    primitive, and output weight w2 is the neuron on {d.x = -B / g} with kink
-    w2 |g| / D, oriented as g.  The first degenerate neuron raises
+def _net_neurons(net: ShallowNet) -> list:
+    """A net's integer neurons (``_sums``): its row (W, B, D) with W = g d, d
+    primitive, and output weight n / m is the neuron on {d.x = -B / g} with
+    kink n |g| / (m D), oriented as g.  The first degenerate neuron raises
     DegenerateNeuron, as in ``effective_tuple``."""
     neurons = []
-    for j, ((W, B, D), w2) in enumerate(zip(net.rows, net.w2)):
-        if not w2 or not any(W):
+    for j, ((W, B, D), (n, m)) in enumerate(zip(net.rows, net._w2)):
+        if not n or not any(W):
             raise DegenerateNeuron(j + 1)
         d, g = primitive_row(W)
         a = abs(g)
         h = gcd(B, a)
-        q = (B if g < 0 else -B) // h, a // h
-        neurons.append((d, *q, w2.numerator * a, w2.denominator * D, g))
-    return _form(neurons, net.b2, net.d0)
+        neurons.append((d, (B if g < 0 else -B) // h, a // h, n * a, m * D, g))
+    return neurons
 
 
-def _form(neurons, bias, d0) -> CanonicalForm:
-    """The one canonicalization: the form of bias + sum kn/kd (o (d.x - qn/qd))_+
-    over integer neurons (d, qn, qd, kn, kd, o), qn/qd in lowest terms and o < 0
-    for a negative orientation.  Kinks are summed per breakline in integers and
-    cancelled ones dropped; as k (-z)_+ = k z_+ - k z, flipped neurons move -k d
-    and k q into the affine part and bias, each over one common denominator.
-    Only surviving terms get a `Breakline` and Fractions."""
+def _sums(neurons, bias, d0):
+    """The integer stage of the one canonicalization, over integer neurons
+    (d, qn, qd, kn, kd, o) of bias + sum kn/kd (o (d.x - qn/qd))_+, qn/qd in
+    lowest terms and o < 0 for a negative orientation.  Kinks are summed per
+    breakline key (d, qn, qd) in integers; as k (-z)_+ = k z_+ - k z, flipped
+    neurons move -k d and k q into the affine part and bias, each over one
+    common denominator.  Returns the surviving terms, a dict from key to the
+    nonzero kink (kn, kd) in lowest terms with kd > 0, so equal keys and kinks
+    are equal breaklines and kinks, then the affine part and the bias."""
     kinks, flipped = {}, []
     for nr in neurons:
         d, qn, qd, kn, kd, o = nr
@@ -137,11 +144,18 @@ def _form(neurons, bias, d0) -> CanonicalForm:
         c.append(kn * (m // kd))
         kq += qn * kn * (n // (qd * kd))
     affine = [sum(map(mul, col, c)) for col in zip(*(nr[0] for nr in flipped))] or [0] * d0
-    terms = sorted((d, Fraction(qn, qd), Fraction(*k)) for (d, qn, qd), k in kinks.items() if k[0])
+    terms = {key: _reduced(*k) for key, k in kinks.items() if k[0]}
+    return terms, tuple(Fraction(-e, m) for e in affine), bias + Fraction(kq, n)
+
+
+def _build(terms, affine, bias, d0) -> CanonicalForm:
+    """The build stage: the form of ``_sums``'s result, its terms sorted by
+    (d, q), each with a `Breakline` and its kink as a Fraction."""
+    terms = sorted((d, Fraction(qn, qd), Fraction(*k)) for (d, qn, qd), k in terms.items())
     terms = tuple((_trusted(Breakline, d, q), k) for d, q, k in terms)
-    fields = (terms, tuple(Fraction(-e, m) for e in affine), bias + Fraction(kq, n), d0)
-    # with neurons, d0 is theirs and every field is valid by construction
-    return _trusted(CanonicalForm, *fields) if kinks else CanonicalForm(*fields)
+    fields = (terms, affine, bias, d0)
+    # with terms, d0 is theirs and every field is valid by construction
+    return _trusted(CanonicalForm, *fields) if terms else CanonicalForm(*fields)
 
 
 def evaluate_cf(cf: CanonicalForm, x) -> Fraction:
@@ -157,8 +171,8 @@ def sigma_affine(cf: CanonicalForm, sigma) -> tuple[tuple[Fraction, ...], Fracti
     sigma = tuple(sigma)
     if len(sigma) != cf.n:
         raise LengthMismatch(f"{len(sigma)} orientations for {cf.n} terms")
-    moved = _form([_integer(bl, k, s) for (bl, k), s in zip(cf.terms, sigma)], 0, cf.d0)
-    return tuple(map(sub, cf.affine, moved.affine)), cf.bias - moved.bias
+    _, affine, bias = _sums([_integer(bl, k, s) for (bl, k), s in zip(cf.terms, sigma)], 0, cf.d0)
+    return tuple(map(sub, cf.affine, affine)), cf.bias - bias
 
 
 def sigma_tuple(cf: CanonicalForm, sigma, out_bias=0) -> EffectiveTuple:
@@ -191,13 +205,26 @@ class Different:
 
 def _as_form(obj) -> CanonicalForm:
     """Canonical form of a net, effective tuple or canonical form."""
+    if isinstance(obj, (ShallowNet, EffectiveTuple)):
+        return _build(*_stage(obj))
     if isinstance(obj, CanonicalForm):
         return obj
-    if isinstance(obj, ShallowNet):
-        return _net_form(obj)
-    if isinstance(obj, EffectiveTuple):
-        return canonicalize(obj)
     raise ValueError("expected a net, effective tuple or canonical form")
+
+
+def _stage(obj):
+    """The integer stage (``_sums``) of a net, effective tuple or canonical
+    form, and its d0."""
+    if isinstance(obj, ShallowNet):
+        neurons, bias = _net_neurons(obj), obj.b2
+    elif isinstance(obj, EffectiveTuple):
+        neurons = [_integer(nr.breakline, nr.kink, nr.orientation) for nr in obj.neurons]
+        bias = obj.out_bias
+    else:  # a form's terms are positively oriented neurons; its affine part and bias are its own
+        cf = _as_form(obj)
+        terms, _, _ = _sums([_integer(bl, k, 1) for bl, k in cf.terms], 0, cf.d0)
+        return terms, cf.affine, cf.bias, cf.d0
+    return (*_sums(neurons, bias, obj.d0), obj.d0)
 
 
 def equivalence(x, y):
@@ -205,15 +232,16 @@ def equivalence(x, y):
 
     Returns Equal, EqualUpToAffine (same kink structure, different affine
     part, with the difference reported) or Different with a witness breakline
-    whose effective kinks disagree.
+    whose effective kinks disagree.  The integer stages of the two inputs are
+    compared; the witness is the one `Breakline` made.
     """
-    cf1, cf2 = _as_form(x), _as_form(y)
-    if cf1.d0 != cf2.d0:
+    (t1, a1, b1, d1), (t2, a2, b2, d2) = _stage(x), _stage(y)
+    if d1 != d2:
         raise DimensionMismatch("inputs live in different ambient dimensions")
-    if cf1.terms != cf2.terms:  # the first breakline, in term order, whose kinks differ
-        return Different(min(bl for bl, _ in set(cf1.terms) ^ set(cf2.terms)))
-    if cf1.affine == cf2.affine and cf1.bias == cf2.bias:
+    if t1 != t2:  # the least breakline, by (d, q), whose kinks differ
+        keys = (key for key, _ in t1.items() ^ t2.items())
+        d, qn, qd = min(keys, key=lambda key: (key[0], Fraction(key[1], key[2])))
+        return Different(_trusted(Breakline, d, Fraction(qn, qd)))
+    if a1 == a2 and b1 == b2:
         return Equal()
-    return EqualUpToAffine(
-        tuple(a - b for a, b in zip(cf1.affine, cf2.affine)), cf1.bias - cf2.bias
-    )
+    return EqualUpToAffine(tuple(map(sub, a1, a2)), b1 - b2)

@@ -13,9 +13,10 @@ c > 0, so every exact statement survives the integer rescaling.
 A raw network holds hidden neuron j as the integer row (W_j, B_j, D_j) with
 w1_j = W_j / D_j, b1_j = B_j / D_j and D_j the lcm of their denominators,
 parsed a block of W1 rows at a time (row by row in a block with a literal
-that is not plain) and reduced once per neuron.  The effective tuple and the
-canonical form are read off these rows in integers and ``evaluate_net``
-compiles them, so raw networks do no per-entry Fraction arithmetic.
+that is not plain) and reduced once per neuron, and its output weight w2_j as
+the reduced integer pair (n_j, m_j).  The effective tuple and the canonical
+form are read off these integers and ``evaluate_net`` compiles them, so raw
+networks do no per-entry Fraction arithmetic.
 
 Tuples, forms (``response_kernel``) and raw nets (``evaluate_net``) compile
 to one integer kernel, ``_relu_kernel``, wrapped by ``exact.compiled``; its
@@ -109,12 +110,13 @@ class ShallowNet:
     divided by its gcd once.  W1 is parsed ``_BLOCK`` rows at a time, then b1
     and W2 as one block each (``_parts``), a block with a literal that is not
     plain row by row, with its errors; the rows are built once the shapes are
-    checked.  That row is unique, so equality is equality of weights.
-    ``w1`` and ``b1`` give the weights back as Fractions.
+    checked.  W2 is held as reduced integer pairs ``(n_j, m_j)``, m_j > 0,
+    one ``gcd`` each.  Row and pair are unique, so equality is equality of
+    weights.  ``w1``, ``b1`` and ``w2`` give the weights back as Fractions.
     """
 
     rows: tuple[tuple[tuple[int, ...], int, int], ...]
-    w2: tuple[Fraction, ...]
+    _w2: tuple[tuple[int, int], ...]
     b2: Fraction
 
     def __init__(self, w1, b1, w2, b2):
@@ -135,7 +137,7 @@ class ShallowNet:
                 j, start = len(rows), k * d0
                 rows.append(_row(nums[start : start + d0], dens[start : start + d0], bn[j], bd[j]))
         object.__setattr__(self, "rows", tuple(rows))
-        object.__setattr__(self, "w2", tuple(map(Fraction, wn, wd)))
+        object.__setattr__(self, "_w2", tuple(map(_reduced, wn, wd)))
         object.__setattr__(self, "b2", b2)
 
     def __repr__(self):
@@ -148,6 +150,10 @@ class ShallowNet:
     @property
     def b1(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(b, den) for _, b, den in self.rows)
+
+    @property
+    def w2(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self._w2)
 
     @property
     def d0(self) -> int:
@@ -187,11 +193,17 @@ def _row(nums, dens, bn, bd):
     return tuple(W), B, den
 
 
+def _reduced(num, den):
+    """``num / den`` in lowest terms, as an integer pair; den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def evaluate_net(net: ShallowNet, x) -> Fraction:
     """Exact response b2 + sum_j w2_j * max(w1_j . x + b1_j, 0), compiled from
     the integer rows: on x = X / D neuron j is (w2_j / D_j) (W_j . X + B_j D)_+ / D,
     so a zero row is the constant w2_j * (b1_j)_+."""
-    relus = [(W, B, w2.numerator, w2.denominator * D) for (W, B, D), w2 in zip(net.rows, net.w2)]
+    relus = [(W, B, n, d * D) for (W, B, D), (n, d) in zip(net.rows, net._w2)]
     return compiled(*_relu_kernel(relus, (), net.b2), net.d0, "net")(x)
 
 
@@ -241,16 +253,16 @@ def effective_tuple(net: ShallowNet, drop_degenerate: bool = False) -> Effective
     """
     neurons = []
     bias = net.b2
-    for j, ((row, b, den), w2) in enumerate(zip(net.rows, net.w2)):
-        if w2 == 0 or not any(row):
+    for j, ((row, b, den), (n, m)) in enumerate(zip(net.rows, net._w2)):
+        if not n or not any(row):
             if drop_degenerate:
                 if b > 0:
-                    bias += w2 * Fraction(b, den)
+                    bias += Fraction(n * b, m * den)
                 continue
             raise DegenerateNeuron(j + 1)
         d, g = primitive_row(row)
         o = 1 if g > 0 else -1
-        kink = Fraction(w2.numerator * o * g, w2.denominator * den)
+        kink = Fraction(n * o * g, m * den)
         neurons.append(_trusted(Neuron, _trusted(Breakline, d, Fraction(-b, g)), kink, o))
     return EffectiveTuple(tuple(neurons), bias)
 

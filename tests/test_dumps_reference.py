@@ -1,8 +1,8 @@
-"""`jsonio.dumps` against the stdlib encoder it replaces.
+"""`jsonio.dumps` is the stdlib encoder.
 
-``json.dumps(x, indent=2)`` is the reference: every JSON tree must come out
-byte-identical, including trees that hold one dict or list object at several
-places, which exercise the emitter's per-call memo.
+``jsonio.dumps`` is ``json.dumps(x, indent=2)`` itself; this test pins that:
+every JSON tree, including trees that hold one dict or list object at several
+places, must come out byte-identical to ``json.dumps(x, indent=2)``.
 """
 
 import json

@@ -1,7 +1,9 @@
 """Weight rows parsed in one pass against the per-literal constructor.
 
-``ShallowNet`` reads each W1 row, b1 and W2 through ``exact.row_parts``: one
-pattern check per row, parts not reduced, one gcd per neuron.  The reference
+``ShallowNet`` reads plain blocks of W1 rows, and b1 and W2, through
+``exact.block_parts``, and a block with a literal that is not plain row by row
+through ``exact.row_parts``: one pattern check per block or row, parts not
+reduced, one gcd per neuron and per W2 entry.  The reference
 below is the per-literal constructor: one ``rat_parts`` call per literal
 (reduced, with literals parsed by ``Fraction`` as ``reference_rat`` does) and
 rows over the lcm of the reduced denominators.  Both must agree on the

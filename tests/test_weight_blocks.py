@@ -1,8 +1,9 @@
 """W1 parsed in blocks of rows against the row-by-row constructor.
 
-``ShallowNet`` joins up to ``network._BLOCK`` (64) W1 rows into one text for
-``exact.block_parts``; a block with any literal outside the plain grammar, or
-weights of no valid shape, send the whole net row by row.  At 63, 64, 65 and
+``ShallowNet`` joins up to ``network._BLOCK`` (64) W1 rows, then b1 and W2,
+into one text each for ``exact.block_parts``; only a block with a literal
+outside the plain grammar is read row by row, through ``exact.row_parts``,
+and the shapes are checked once every block is read.  At 63, 64, 65 and
 129 rows, a bad literal in the first or the last block, or a short row in the
 last one, must give the exception type and message of the reference in
 `test_row_parser`, which reads one literal at a time; plain nets must give
