@@ -7,14 +7,14 @@ with nonzero effective kinks plus an affine remainder:
 
 Canonicalization makes equality of responses a syntactic comparison: terms are
 sorted by (direction, offset), so two tuples represent the same function iff
-their canonical forms are identical.  There is one canonicalization over
-integer neurons, in two stages: ``_sums`` sums the kinks per breakline in
-integers and returns the surviving terms with reduced integer kinks, the
-affine part and the bias; ``_build`` sorts the terms and makes their
-`Breakline`s and Fractions.  ``canonicalize`` feeds it a tuple's neurons and
-``_stage`` a raw net's integer rows, with no per-neuron objects between.
-``equivalence`` compares the integer stages of its two inputs and builds a
-`Breakline` only for a ``Different`` witness.
+their canonical forms are identical.  There is one canonicalization, in two
+stages: ``_stage`` compiles a net's integer rows, a tuple's neurons or a
+form's terms to one ``exact.relu_sum`` triple (``network._relu_kernel``) and
+reads it with ``exact.relu_terms``, keeping the kinked breaklines with reduced
+integer kinks, the affine part and the bias; ``_build`` sorts the terms and
+makes their `Breakline`s and Fractions.  ``equivalence`` compares the integer
+stages of its two inputs and builds a `Breakline` only for a ``Different``
+witness.
 """
 
 from __future__ import annotations
@@ -22,17 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 
 from .errors import DegenerateNeuron, DimensionMismatch, LengthMismatch
-from .exact import compiled, primitive_row, rat, vec
+from .exact import compiled, rat, relu_terms, vec
 from .network import (
     Breakline,
     EffectiveTuple,
     Neuron,
     ShallowNet,
     _reduced,
+    _relu_kernel,
+    _relus,
     _trusted,
     response_kernel,
 )
@@ -92,64 +93,14 @@ class CanonicalForm:
 
 
 def canonicalize(t: EffectiveTuple, d0: int | None = None) -> CanonicalForm:
-    """Unique canonical form of a tuple's response (``_sums``, then ``_build``)."""
-    if d0 is None:
-        d0 = t.d0
-    elif t.neurons and t.d0 != d0:
+    """Unique canonical form of a tuple's response (``_stage``, then ``_build``)."""
+    if d0 is not None and t.neurons and t.d0 != d0:
         raise DimensionMismatch("neuron dimension does not match d0")
-    neurons = [_integer(nr.breakline, nr.kink, nr.orientation) for nr in t.neurons]
-    return _build(*_sums(neurons, t.out_bias, d0), d0)
-
-
-def _integer(bl, k, o):
-    """The integer neuron (``_sums``) on ``bl`` with kink k and orientation o."""
-    return bl.direction, bl.offset.numerator, bl.offset.denominator, k.numerator, k.denominator, o
-
-
-def _net_neurons(net: ShallowNet) -> list:
-    """A net's integer neurons (``_sums``): its row (W, B, D) with W = g d, d
-    primitive, and output weight n / m is the neuron on {d.x = -B / g} with
-    kink n |g| / (m D), oriented as g.  The first degenerate neuron raises
-    DegenerateNeuron, as in ``effective_tuple``."""
-    neurons = []
-    for j, ((W, B, D), (n, m)) in enumerate(zip(net.rows, net._w2)):
-        if not n or not any(W):
-            raise DegenerateNeuron(j + 1)
-        d, g = primitive_row(W)
-        a = abs(g)
-        h = gcd(B, a)
-        neurons.append((d, (B if g < 0 else -B) // h, a // h, n * a, m * D, g))
-    return neurons
-
-
-def _sums(neurons, bias, d0):
-    """The integer stage of the one canonicalization, over integer neurons
-    (d, qn, qd, kn, kd, o) of bias + sum kn/kd (o (d.x - qn/qd))_+, qn/qd in
-    lowest terms and o < 0 for a negative orientation.  Kinks are summed per
-    breakline key (d, qn, qd) in integers; as k (-z)_+ = k z_+ - k z, flipped
-    neurons move -k d and k q into the affine part and bias, each over one
-    common denominator.  Returns the surviving terms, a dict from key to the
-    nonzero kink (kn, kd) in lowest terms with kd > 0, so equal keys and kinks
-    are equal breaklines and kinks, then the affine part and the bias."""
-    kinks, flipped = {}, []
-    for nr in neurons:
-        d, qn, qd, kn, kd, o = nr
-        p, r = kinks.get(key := (d, qn, qd), (0, 1))
-        kinks[key] = p * kd + kn * r, r * kd
-        if o < 0:
-            flipped.append(nr)
-    m, n = lcm(*(nr[4] for nr in flipped)), lcm(*(nr[2] * nr[4] for nr in flipped))
-    c, kq = [], 0
-    for _, qn, qd, kn, kd, _ in flipped:
-        c.append(kn * (m // kd))
-        kq += qn * kn * (n // (qd * kd))
-    affine = [sum(map(mul, col, c)) for col in zip(*(nr[0] for nr in flipped))] or [0] * d0
-    terms = {key: _reduced(*k) for key, k in kinks.items() if k[0]}
-    return terms, tuple(Fraction(-e, m) for e in affine), bias + Fraction(kq, n)
+    return _build(*_stage(t, d0))
 
 
 def _build(terms, affine, bias, d0) -> CanonicalForm:
-    """The build stage: the form of ``_sums``'s result, its terms sorted by
+    """The build stage: the form of ``_stage``'s result, its terms sorted by
     (d, q), each with a `Breakline` and its kink as a Fraction."""
     terms = sorted((d, Fraction(qn, qd), Fraction(*k)) for (d, qn, qd), k in terms.items())
     terms = tuple((_trusted(Breakline, d, q), k) for d, q, k in terms)
@@ -168,10 +119,7 @@ def sigma_affine(cf: CanonicalForm, sigma) -> tuple[tuple[Fraction, ...], Fracti
     For every sigma the representation identity
     f(x) = sum_i kink_i*(sigma_i*(d_i.x - q_i))_+ + a_sigma.x + b_sigma holds.
     """
-    sigma = tuple(sigma)
-    if len(sigma) != cf.n:
-        raise LengthMismatch(f"{len(sigma)} orientations for {cf.n} terms")
-    _, affine, bias = _sums([_integer(bl, k, s) for (bl, k), s in zip(cf.terms, sigma)], 0, cf.d0)
+    _, affine, bias, _ = _stage(sigma_tuple(cf, sigma), cf.d0)
     return tuple(map(sub, cf.affine, affine)), cf.bias - bias
 
 
@@ -212,19 +160,31 @@ def _as_form(obj) -> CanonicalForm:
     raise ValueError("expected a net, effective tuple or canonical form")
 
 
-def _stage(obj):
-    """The integer stage (``_sums``) of a net, effective tuple or canonical
-    form, and its d0."""
+def _stage(obj, d0=None):
+    """The integer stage of a net, effective tuple or canonical form (a tuple
+    in Q^d0 if given), and its d0: the terms, a dict from each kinked key
+    (d, qn, qd) of ``exact.relu_terms`` to its kink (kn, kd) in lowest terms
+    with kd > 0, so equal keys and kinks are equal breaklines and kinks, then
+    the affine part and the bias.  A net's first degenerate neuron raises
+    DegenerateNeuron, as in ``effective_tuple``; a form's terms are positively
+    oriented neurons."""
     if isinstance(obj, ShallowNet):
-        neurons, bias = _net_neurons(obj), obj.b2
+        for j, ((W, _, _), (n, _)) in enumerate(zip(obj.rows, obj._w2)):
+            if not n or not any(W):
+                raise DegenerateNeuron(j + 1)
+        relus = [(W, B, n, d * D) for (W, B, D), (n, d) in zip(obj.rows, obj._w2)]
+        d0, affine, bias = obj.d0, (), obj.b2
     elif isinstance(obj, EffectiveTuple):
-        neurons = [_integer(nr.breakline, nr.kink, nr.orientation) for nr in obj.neurons]
-        bias = obj.out_bias
-    else:  # a form's terms are positively oriented neurons; its affine part and bias are its own
+        d0 = obj.d0 if d0 is None else d0
+        relus, affine, bias = _relus(obj.neurons), (), obj.out_bias
+    else:
         cf = _as_form(obj)
-        terms, _, _ = _sums([_integer(bl, k, 1) for bl, k in cf.terms], 0, cf.d0)
-        return terms, cf.affine, cf.bias, cf.d0
-    return (*_sums(neurons, bias, obj.d0), obj.d0)
+        relus = _relus(_trusted(Neuron, bl, k, 1) for bl, k in cf.terms)
+        d0, affine, bias = cf.d0, cf.affine, cf.bias
+    triple, m = _relu_kernel(relus, affine or (0,) * d0, bias)
+    kinks, row, c = relu_terms(*triple)
+    terms = {key: _reduced(k, m) for key, k in kinks.items() if k}
+    return terms, tuple(Fraction(a, m) for a in row), Fraction(c, m), d0
 
 
 def equivalence(x, y):

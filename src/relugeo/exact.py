@@ -12,7 +12,8 @@ integer row.  ``compiled`` is the one wrapper that turns a function compiled
 to integers on a point's common denominator (``scaled_point``) into an exact
 evaluator that checks the point's length, and leaves the integer function on
 the evaluator as its ``kernel``; ``relu_sum`` is the one such function for
-expressions, tuples, forms and nets.
+expressions, tuples, forms and nets, over a triple (row, c, relus) that
+``relu_terms`` reads back as kinks on breaklines plus an affine part.
 
 There is one elimination routine, ``eliminate``: fraction-free Gauss-Jordan on
 integer rows.  ``minimality._span`` and ``synthesis.check_transversality``
@@ -183,7 +184,8 @@ def compiled(num, m, d0, what):
 def relu_sum(row, c, relus):
     """(X, D) -> row . X + c * D + sum k * (r . X + s * D)_+ over the integer
     triples (r, s, k) in ``relus``: the one numerator of expressions
-    (``pwa._compile``) and of tuples, forms and nets (``network._relu_kernel``)."""
+    (``pwa._compile``) and of tuples, forms and nets (``network._relu_kernel``),
+    read back by ``relu_terms``."""
 
     def num(X, D) -> int:
         total = sum(map(mul, row, X)) + c * D
@@ -194,6 +196,34 @@ def relu_sum(row, c, relus):
         return total
 
     return num
+
+
+def relu_terms(row, c, relus):
+    """``(kinks, row, c)``: the triple of ``relu_sum`` read as summed kinks on
+    breaklines plus an affine part, the one reader of expressions, tuples,
+    forms and nets.  With (d, g) = primitive_row(r), relu k (r . X + s D)_+
+    is kink k |g| on {d . x = -s / g}, keyed (d, qn, qd) with qn / qd = -s / g
+    in lowest terms and qd > 0, plus its argument, added to row and c, when
+    g < 0, as (-z)_+ = z_+ - z.  A relu with r = 0 folds k * max(s, 0) into c.
+    ``kinks`` maps each key, in order of first appearance, to its integer
+    kink sum, zero sums kept."""
+    kinks, flipped = {}, []
+    for r, s, k in relus:
+        if not any(r):
+            c += k * max(s, 0)
+            continue
+        d, g = primitive_row(r)
+        a = abs(g)
+        h = gcd(s, a)
+        key = d, (s if g < 0 else -s) // h, a // h
+        kinks[key] = kinks.get(key, 0) + k * a
+        if g < 0:
+            flipped.append((r, k))
+            c += k * s
+    if flipped:
+        rs, ks = zip(*flipped)
+        row = tuple(e + sum(map(mul, col, ks)) for e, col in zip(row, zip(*rs)))
+    return kinks, row, c
 
 
 def primitive_row(w) -> tuple[tuple[int, ...], int]:

@@ -19,8 +19,9 @@ form are read off these integers and ``evaluate_net`` compiles them, so raw
 networks do no per-entry Fraction arithmetic.
 
 Tuples, forms (``response_kernel``) and raw nets (``evaluate_net``) compile
-to one integer kernel, ``_relu_kernel``, wrapped by ``exact.compiled``; its
-numerator ``exact.relu_sum`` is the one expressions use too.  An affine part
+to one integer triple, ``_relu_kernel``, summed by ``exact.relu_sum`` (the
+numerator expressions use too) under ``exact.compiled``; ``canonical`` reads
+the same triple back with ``exact.relu_terms``.  An affine part
 costs a cancelling pair of neurons on a fresh breakline; ``affine_pair``
 builds it for ``affine_family`` and synthesis.
 """
@@ -204,29 +205,37 @@ def evaluate_net(net: ShallowNet, x) -> Fraction:
     the integer rows: on x = X / D neuron j is (w2_j / D_j) (W_j . X + B_j D)_+ / D,
     so a zero row is the constant w2_j * (b1_j)_+."""
     relus = [(W, B, n, d * D) for (W, B, D), (n, d) in zip(net.rows, net._w2)]
-    return compiled(*_relu_kernel(relus, (), net.b2), net.d0, "net")(x)
+    triple, m = _relu_kernel(relus, (), net.b2)
+    return compiled(relu_sum(*triple), m, net.d0, "net")(x)
 
 
 def response_kernel(neurons, affine, bias):
     """Compile bias + affine . x + sum_j kink_j * (o_j * (d_j . x - q_j))_+ to
     ``(num, m)`` for ``compiled``: with q_j = r_j / s_j, neuron j is
     (kink_j / s_j) * (o_j s_j d_j . X - o_j r_j D)_+ / D (``_relu_kernel``)."""
+    triple, m = _relu_kernel(_relus(neurons), affine, bias)
+    return relu_sum(*triple), m
+
+
+def _relus(neurons):
+    """The integer relus (r, s, p, t) of ``_relu_kernel`` of neurons."""
     relus = []
     for nr in neurons:
         q, k, o = nr.breakline.offset, nr.kink, nr.orientation
         row = tuple(o * q.denominator * e for e in nr.breakline.direction)
         relus.append((row, -o * q.numerator, k.numerator, k.denominator * q.denominator))
-    return _relu_kernel(relus, affine, bias)
+    return relus
 
 
 def _relu_kernel(relus, affine, bias):
     """bias + affine . x + sum (p / t) * (r . X + s D)_+ / D over integer tuples
-    (r, s, p, t), on x = X / D, as ``(num, m)``: m is the lcm of every
-    denominator and num is ``exact.relu_sum``, which checks no dimensions."""
-    m = lcm(bias.denominator, *(a.denominator for a in affine), *(t for *_, t in relus))
+    (r, s, p, t), on x = X / D, as the triple (row, c, relus) of
+    ``exact.relu_sum`` and ``exact.relu_terms`` over m, the lcm of every
+    denominator: the value is relu_sum(row, c, relus)(X, D) / (m D)."""
+    m = lcm(bias.denominator, *(a.denominator for a in affine), *{t for _, _, _, t in relus})
     A = tuple(a.numerator * (m // a.denominator) for a in affine)
     relus = [(r, s, p * (m // t)) for r, s, p, t in relus]
-    return relu_sum(A, bias.numerator * (m // bias.denominator), relus), m
+    return (A, bias.numerator * (m // bias.denominator), relus), m
 
 
 def tuple_evaluator(t: EffectiveTuple):

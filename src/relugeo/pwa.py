@@ -19,7 +19,8 @@ minus adding a level, which bounds every recursive walk over a parsed tree.
 
 One compile, ``_compile``, evaluates an expression and finds its flat form:
 each flat subtree is one triple for ``exact.relu_sum``, the numerator of
-expressions, tuples, forms and nets alike, and ``_read_flat`` reads it off.
+expressions, tuples, forms and nets alike, and ``_read_flat`` reads it off
+with ``exact.relu_terms``, as ``canonical`` reads tuples, forms and nets.
 Every other subtree keeps its knots, from which synthesis builds the
 hyperplanes off which it is affine.
 """
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, NotFlat, ParseError
-from .exact import compiled, primitive_row, rat, rat_parts, rat_str, relu_sum, scaled_point
+from .exact import compiled, rat, rat_parts, rat_str, relu_sum, relu_terms, scaled_point
 from .network import Breakline
 
 
@@ -403,10 +404,9 @@ def flat_form(e: PWAExpr):
     """(terms, affine, bias) with e(x) == sum kink * (d . x - q)_+ + affine . x + bias.
 
     A non-flat expression (``_compile``) raises NotFlat: its breaklines must
-    be declared.  Relu k * (r . X + s * D)_+ of the compiled triple, with
-    (d, g) = primitive_row(r), is kink k |g| / m on Breakline(d, -s / g), plus
-    its argument when g < 0, as (-t)_+ = t_+ - t.  ``terms`` maps each
-    breakline, in order of first appearance, to its summed kink, zero included.
+    be declared.  The compiled triple over m is read by ``exact.relu_terms``:
+    ``terms`` maps each breakline, in order of first appearance, to its summed
+    kink over m, zero included.
     Leaves of different dimensions raise DimensionMismatch (``expr_dim``).
     """
     _, m, flat, _ = _compile(e)
@@ -419,17 +419,8 @@ def _read_flat(m, flat):
     """``flat_form`` of the expression whose ``_compile`` gave ``m`` and ``flat``."""
     if isinstance(flat, str):
         raise NotFlat(flat)
-    row, c, relus = flat
-    terms = {}
-    for r, s, k in relus:
-        if not any(r):  # a constant argument: relu is the argument or 0
-            c += k * max(s, 0)
-            continue
-        d, g = primitive_row(r)
-        bl = Breakline(d, Fraction(-s, g))
-        terms[bl] = terms.get(bl, 0) + Fraction(k * abs(g), m)
-        if g < 0:
-            row, c = tuple(a + k * b for a, b in zip(row, r)), c + k * s
+    kinks, row, c = relu_terms(*flat)
+    terms = {Breakline(d, Fraction(qn, qd)): Fraction(k, m) for (d, qn, qd), k in kinks.items()}
     return terms, tuple(Fraction(a, m) for a in row), Fraction(c, m)
 
 

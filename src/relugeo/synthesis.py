@@ -30,7 +30,7 @@ from operator import mul, sub
 from .errors import CapExceeded, DimensionMismatch, NotLocallyAffine, NotRepresentable
 from .errors import NotTransversal
 from .exact import compiled, dot, eliminate, is_zero, primitive_direction, primitive_row, rat
-from .exact import scaled_point, solve_affine, vec
+from .exact import relu_terms, solve_affine, vec
 from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
 from .pwa import PWASpec, _compile, _cost, _read_flat, expr_dim
 
@@ -87,7 +87,7 @@ def check_transversality(breaklines):
         raise CapExceeded(f"{work} units of work exceed the transversality cap of {_MAX_WORK}")
     if (dims := {bl.d0 for bl in breaklines}) != {d0}:
         raise DimensionMismatch(f"breaklines of dimensions {sorted(dims)} in one arrangement")
-    rows = [scaled_point((*bl.direction, bl.offset))[0] for bl in breaklines]  # s * (d, r)
+    rows = list(map(_row, breaklines))  # the offset column is read only for being nonzero
     for size in sizes:
         for subset in combinations(range(n), size):
             eqs = [rows[i] for i in subset]  # eliminate replaces rows, never edits one
@@ -384,7 +384,8 @@ def _cuts(knots, d0, work):
     piece read off its numerator at the cell's corners.  Each cell adds (d0 +
     1) * cost units (``pwa._cost``), one per term read."""
     triples, args, _ = knots
-    rows = {_row(bl) for flat in triples for bl, k in _read_flat(1, flat)[0].items() if k}
+    kinks = (relu_terms(*flat)[0].items() for flat in triples)
+    rows = {(*(a * qd for a in d), -qn) for terms in kinks for (d, qn, qd), k in terms if k}
     for num, _, flat, sub in args:
         inner = _cuts(sub or ((flat,), (), 0), d0, work)
         rows |= inner

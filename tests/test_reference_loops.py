@@ -1,10 +1,11 @@
 """Integer and compiled constructions against the plain loops they replaced.
 
 ``sigma_affine`` sums the moved affine part and bias in integers over one
-common denominator (``canonical._kink_sums``), and synthesis reads every
-kink off f itself and checks the remainder through the final response.  The
-references here are the direct ``Fraction`` loop and the older closure-per-kink
-peeling of a residual, with a separate residual check; both ways must agree.
+common denominator (``canonical._stage``, through ``exact.relu_terms``), and
+synthesis reads every kink off f itself and checks the remainder through the
+final response.  The references here are the direct ``Fraction`` loop and
+the older closure-per-kink peeling of a residual, with a separate residual
+check; both ways must agree.
 """
 
 import random
