@@ -25,17 +25,18 @@ from functools import cached_property
 from operator import sub
 
 from .errors import DegenerateNeuron, DimensionMismatch, LengthMismatch
-from .exact import compiled, rat, relu_terms, vec
+from .exact import rat, relu_terms, vec
 from .network import (
     Breakline,
     EffectiveTuple,
     Neuron,
     ShallowNet,
+    _net_relus,
     _reduced,
     _relu_kernel,
     _relus,
+    _response,
     _trusted,
-    response_kernel,
 )
 
 
@@ -84,12 +85,12 @@ class CanonicalForm:
     def evaluator(self):
         """Exact evaluator of the response, compiled once per form.
 
-        The terms are positively oriented neurons of ``response_kernel`` and
+        The terms are positively oriented relus of ``network._response`` and
         the affine part its affine row.  Not a field: equality, hash and repr
         ignore it.
         """
-        kernel = response_kernel((Neuron(bl, k, 1) for bl, k in self.terms), self.affine, self.bias)
-        return compiled(*kernel, self.d0, "form")
+        relus = _relus(_trusted(Neuron, bl, k, 1) for bl, k in self.terms)
+        return _response(relus, self.affine, self.bias, self.d0, "form")
 
 
 def canonicalize(t: EffectiveTuple, d0: int | None = None) -> CanonicalForm:
@@ -169,10 +170,10 @@ def _stage(obj, d0=None):
     DegenerateNeuron, as in ``effective_tuple``; a form's terms are positively
     oriented neurons."""
     if isinstance(obj, ShallowNet):
-        for j, ((W, _, _), (n, _)) in enumerate(zip(obj.rows, obj._w2)):
+        relus = _net_relus(obj)
+        for j, (W, _, n, _) in enumerate(relus):
             if not n or not any(W):
                 raise DegenerateNeuron(j + 1)
-        relus = [(W, B, n, d * D) for (W, B, D), (n, d) in zip(obj.rows, obj._w2)]
         d0, affine, bias = obj.d0, (), obj.b2
     elif isinstance(obj, EffectiveTuple):
         d0 = obj.d0 if d0 is None else d0

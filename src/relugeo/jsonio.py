@@ -225,8 +225,8 @@ def pwa_spec_from_dict(data: dict) -> PWASpec:
 def load(path: str):
     """Load any known object from a JSON file, sniffing its schema by keys.
 
-    Values of the wrong type or shape, and nesting too deep for the JSON
-    decoder, raise SchemaError.
+    Values of the wrong type or shape, a missing key, and nesting too deep
+    for the JSON decoder, raise SchemaError naming the file.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -237,6 +237,8 @@ def load(path: str):
         return from_dict(data)
     except (TypeError, AttributeError) as exc:
         raise SchemaError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise SchemaError(f"{path}: missing key {exc}") from exc
 
 
 def from_dict(data: dict):

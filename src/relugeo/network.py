@@ -18,8 +18,9 @@ the reduced integer pair (n_j, m_j).  The effective tuple and the canonical
 form are read off these integers and ``evaluate_net`` compiles them, so raw
 networks do no per-entry Fraction arithmetic.
 
-Tuples, forms (``response_kernel``) and raw nets (``evaluate_net``) compile
-to one integer triple, ``_relu_kernel``, summed by ``exact.relu_sum`` (the
+Tuples, forms, raw nets (``_net_relus``, the one place a net's relus are
+written) and synthesis's nested forms are integer relus, and ``_response``
+compiles each: one triple, ``_relu_kernel``, summed by ``exact.relu_sum`` (the
 numerator expressions use too) under ``exact.compiled``; ``canonical`` reads
 the same triple back with ``exact.relu_terms``.  An affine part
 costs a cancelling pair of neurons on a fresh breakline; ``affine_pair``
@@ -201,20 +202,22 @@ def _reduced(num, den):
 
 
 def evaluate_net(net: ShallowNet, x) -> Fraction:
-    """Exact response b2 + sum_j w2_j * max(w1_j . x + b1_j, 0), compiled from
-    the integer rows: on x = X / D neuron j is (w2_j / D_j) (W_j . X + B_j D)_+ / D,
-    so a zero row is the constant w2_j * (b1_j)_+."""
-    relus = [(W, B, n, d * D) for (W, B, D), (n, d) in zip(net.rows, net._w2)]
-    triple, m = _relu_kernel(relus, (), net.b2)
-    return compiled(relu_sum(*triple), m, net.d0, "net")(x)
+    """Exact response b2 + sum_j w2_j * max(w1_j . x + b1_j, 0) (``_net_relus``)."""
+    return _response(_net_relus(net), (), net.b2, net.d0, "net")(x)
 
 
-def response_kernel(neurons, affine, bias):
-    """Compile bias + affine . x + sum_j kink_j * (o_j * (d_j . x - q_j))_+ to
-    ``(num, m)`` for ``compiled``: with q_j = r_j / s_j, neuron j is
-    (kink_j / s_j) * (o_j s_j d_j . X - o_j r_j D)_+ / D (``_relu_kernel``)."""
-    triple, m = _relu_kernel(_relus(neurons), affine, bias)
-    return relu_sum(*triple), m
+def _net_relus(net):
+    """The integer relus (r, s, p, t) of ``_relu_kernel`` of a net's neurons: on
+    x = X / D neuron j is (w2_j / D_j) (W_j . X + B_j D)_+ / D, so a zero row is
+    the constant w2_j * (b1_j)_+."""
+    return [(W, B, n, d * D) for (W, B, D), (n, d) in zip(net.rows, net._w2)]
+
+
+def _response(relus, affine, bias, d0, what):
+    """The exact evaluator (``exact.compiled``, checking d0 and naming ``what``)
+    of bias + affine . x + the integer relus of ``_relu_kernel``."""
+    triple, m = _relu_kernel(relus, affine, bias)
+    return compiled(relu_sum(*triple), m, d0, what)
 
 
 def _relus(neurons):
@@ -239,9 +242,8 @@ def _relu_kernel(relus, affine, bias):
 
 
 def tuple_evaluator(t: EffectiveTuple):
-    """Compile a tuple into an exact evaluator of its response (``response_kernel``)."""
-    kernel = response_kernel(t.neurons, (), t.out_bias)
-    return compiled(*kernel, t.d0 if t.neurons else None, "tuple")
+    """Compile a tuple into an exact evaluator of its response (``_response``)."""
+    return _response(_relus(t.neurons), (), t.out_bias, t.d0 if t.neurons else None, "tuple")
 
 
 def evaluate_tuple(t: EffectiveTuple, x) -> Fraction:
@@ -249,31 +251,23 @@ def evaluate_tuple(t: EffectiveTuple, x) -> Fraction:
     return tuple_evaluator(t)(x)
 
 
-def effective_tuple(net: ShallowNet, drop_degenerate: bool = False) -> EffectiveTuple:
+def effective_tuple(net: ShallowNet) -> EffectiveTuple:
     """Geometric description of a non-degenerate network.
 
-    On the integer row (W, B, D) of a neuron, with g = gcd(W) and o the sign
-    of the first nonzero entry of W, the breakline is {(o W / g) . x = -o B / g},
-    the kink is w2 g / D and the orientation is o.
-
-    With ``drop_degenerate=True``, neurons with w2_j * w1_j = 0 are removed and
-    their constant contribution w2_j * (b1_j)_+ is folded into the output bias
-    instead of raising; the default keeps the strict non-degeneracy contract.
+    On the relu (W, B, n, t) of a neuron (``_net_relus``), with g = gcd(W)
+    and o the sign of the first nonzero entry of W, the breakline is
+    {(o W / g) . x = -o B / g}, the kink is n g / t and the orientation is o.
+    A neuron with w2_j * w1_j = 0 raises DegenerateNeuron.
     """
     neurons = []
-    bias = net.b2
-    for j, ((row, b, den), (n, m)) in enumerate(zip(net.rows, net._w2)):
-        if not n or not any(row):
-            if drop_degenerate:
-                if b > 0:
-                    bias += Fraction(n * b, m * den)
-                continue
+    for j, (W, B, n, t) in enumerate(_net_relus(net)):
+        if not n or not any(W):
             raise DegenerateNeuron(j + 1)
-        d, g = primitive_row(row)
+        d, g = primitive_row(W)
         o = 1 if g > 0 else -1
-        kink = Fraction(n * o * g, m * den)
-        neurons.append(_trusted(Neuron, _trusted(Breakline, d, Fraction(-b, g)), kink, o))
-    return EffectiveTuple(tuple(neurons), bias)
+        kink = Fraction(n * o * g, t)
+        neurons.append(_trusted(Neuron, _trusted(Breakline, d, Fraction(-B, g)), kink, o))
+    return EffectiveTuple(tuple(neurons), net.b2)
 
 
 def _trusted(cls, *values):

@@ -30,8 +30,9 @@ from operator import mul, sub
 from .errors import CapExceeded, DimensionMismatch, NotLocallyAffine, NotRepresentable
 from .errors import NotTransversal
 from .exact import compiled, dot, eliminate, is_zero, primitive_direction, primitive_row, rat
-from .exact import relu_terms, solve_affine, vec
-from .network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
+from .exact import relu_sum, relu_terms, solve_affine, vec
+from .network import Breakline, EffectiveTuple, Neuron, _relu_kernel, _response
+from .network import affine_pair, tuple_evaluator
 from .pwa import PWASpec, _compile, _cost, _read_flat, expr_dim
 
 # Most breaklines check_transversality takes, before any work is counted.
@@ -398,18 +399,17 @@ def _cuts(knots, d0, work):
     return rows
 
 
-def _check_cells(fnum, fm, cost, net, rows, d0, work):
-    """NotRepresentable("ResidualNotAffine") unless f == the response of net.
+def _check_cells(fnum, fm, cost, kernel, rows, d0, work):
+    """NotRepresentable("ResidualNotAffine") unless f == the response of kernel (num, m).
 
     f - response is continuous and affine on every cell of ``rows``, which
-    hold f's hyperplanes (``_cuts``) and net's, so it is zero on a cell if and
-    only if it vanishes at the d0 + 1 corners of its probe, or, when a cell
-    across a facet was checked before, at the probe alone.  Each point read
-    adds the terms of f (``cost`` per call of fnum) and of net to ``work``;
-    CapExceeded past ``_MAX_CELL_WORK``.
+    hold f's hyperplanes (``_cuts``) and the response's, so it is zero on a
+    cell if and only if it vanishes at the d0 + 1 corners of its probe, or,
+    when a cell across a facet was checked before, at the probe alone.  Each
+    point read adds ``cost``, the terms one call of fnum and of num read, to
+    ``work``; CapExceeded past ``_MAX_CELL_WORK``.
     """
-    rnum, rm = tuple_evaluator(net).kernel
-    cost += len(net.neurons) + 1
+    rnum, rm = kernel
     for Y, E, s, across in _probes(rows, d0, work):
         points = [Y] if across else _corners(Y, s)
         _spend(work, len(points) * (d0 + 1) * cost)
@@ -427,13 +427,15 @@ def _nested_form(num, m, knots, breaklines, d0):
     f is affine off its hyperplanes (``_cuts``) and the declared ones.  Each,
     H: a . x + b = 0, has a point X / D off the others, the first cell of them
     restricted to H (``_restrict``), and with k as in ``_cells`` the second
-    difference of f's numerator at k X +- a over k D is m * kink * |a|^2.  The
-    affine part is fit to f minus those kinks, and the form checked on every
-    cell: ResidualNotAffine if f is not a network's response.
+    difference of f's numerator at k X +- a over k D is m * p * |a|^2 for f's
+    term p * (a . x + b)_+ on H: a relu of ``network._relu_kernel``.  The
+    affine part is fit to f minus the response of those relus, f is checked
+    against the triple of all three on every cell (ResidualNotAffine if f is
+    not a network's response), and the triple is read by ``pwa._read_flat``.
     """
     work = [0]
     rows = list(_cuts(knots, d0, work) | {_row(bl) for bl in breaklines})
-    terms = {}
+    relus = []
     for h, (*a, b) in enumerate(rows):
         _spend(work, 3 * (d0 + 1) * (len(rows) + knots[2]))  # restriction, dots, three reads
         cut, lift = _restrict(rows[h], rows[:h] + rows[h + 1 :])
@@ -442,13 +444,12 @@ def _nested_form(num, m, knots, breaklines, d0):
         X, D = [k * x for x in X], k * D
         jump = sum(num([x + t * e for x, e in zip(X, a)], D) for t in (1, -1)) - 2 * num(X, D)
         if jump:
-            d, g = primitive_row(a)  # g > 0: rows are lex-positive
-            terms[Breakline(d, Fraction(-b, g))] = Fraction(jump, m * g * dot(d, d))
-    f = compiled(num, m, d0, "leaf")
-    found = tuple_evaluator(EffectiveTuple([Neuron(bl, c, 1) for bl, c in terms.items()], 0))
-    form = terms, *_fit_around(lambda p: f(p) - found(p), (Fraction(0),) * d0, Fraction(1))
-    _check_cells(num, m, knots[2], _read_off(terms, form), rows, d0, work)
-    return form
+            relus.append((a, b, jump, m * sum(map(mul, a, a))))
+    f, found = compiled(num, m, d0, "leaf"), _response(relus, (), 0, d0, "leaf")
+    affine, bias = _fit_around(lambda p: f(p) - found(p), (Fraction(0),) * d0, Fraction(1))
+    triple, M = _relu_kernel(relus, affine, bias)
+    _check_cells(num, m, knots[2] + len(relus) + 1, (relu_sum(*triple), M), rows, d0, work)
+    return _read_flat(M, triple)
 
 
 def _read_off(breaklines, form):

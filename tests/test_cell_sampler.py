@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from relugeo.errors import CapExceeded, NotRepresentable
 from relugeo.exact import primitive_row
-from relugeo.network import Breakline, EffectiveTuple, Neuron, affine_pair
+from relugeo.network import Breakline, EffectiveTuple, Neuron, affine_pair, tuple_evaluator
 from relugeo.pwa import _compile, parse_pwa
 from relugeo.synthesis import _MAX_CELL_WORK, _cells, _check_cells, _corners, _cuts, _probes, _row
 
@@ -148,9 +148,9 @@ def test_first_cell_is_checked_at_its_corners(d0):
     net = EffectiveTuple((Neuron(x1, 1 + (y - z) / z, 1), *pair), shift - y)
     rows = [_row(x1)]  # relu(relu(x1)) has no other hyperplane
     with pytest.raises(NotRepresentable, match="ResidualNotAffine"):
-        _check_cells(num, m, knots[2], net, rows, d0, [0])
+        _check_cells(num, m, knots[2], tuple_evaluator(net).kernel, rows, d0, [0])
     f = EffectiveTuple((Neuron(x1, 1, 1),), 0)
-    assert _check_cells(num, m, knots[2], f, rows, d0, [0]) is None
+    assert _check_cells(num, m, knots[2], tuple_evaluator(f).kernel, rows, d0, [0]) is None
 
 
 def test_max_chain_reads_each_argument_once():

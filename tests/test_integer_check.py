@@ -28,9 +28,9 @@ from relugeo.network import (
     Neuron,
     ShallowNet,
     affine_pair,
-    effective_tuple,
+    _net_relus,
+    _response,
     evaluate_net,
-    response_kernel,
     tuple_evaluator,
 )
 from relugeo.pwa import evaluator
@@ -178,8 +178,8 @@ def kernels(d0):
         return (*ev.kernel, ev)
 
     def of_net(net):
-        t = effective_tuple(net, drop_degenerate=True)
-        return (*response_kernel(t.neurons, (), t.out_bias), lambda x: evaluate_net(net, x))
+        kernel = _response(_net_relus(net), (), net.b2, net.d0, "net").kernel
+        return (*kernel, lambda x: evaluate_net(net, x))
 
     return st.one_of(
         trees(d0).map(lambda e: of(evaluator(e))),

@@ -66,11 +66,6 @@ class TestEffectiveTuple:
             effective_tuple(net([[0]], [1], [1], 0))
         assert err.value.index == 1
 
-    def test_drop_degenerate_folds_constant(self):
-        t = effective_tuple(net([[0], [1]], [2, 0], [3, 1], 0), drop_degenerate=True)
-        assert t.out_bias == 6
-        assert len(t.neurons) == 1
-
     def test_response_preserved(self, rng):
         for seed in range(30):
             n = random_net(rng.randint(1, 3), rng.randint(1, 4), seed)

@@ -49,15 +49,11 @@ def reference_rat(value: str) -> Fraction:
         raise ValueError(f"zero denominator in {value!r}") from None
 
 
-def reference_effective_tuple(w1, b1, w2, b2, drop_degenerate=False):
+def reference_effective_tuple(w1, b1, w2, b2):
     neurons = []
     bias = F(b2)
     for j, (row, b, out) in enumerate(zip(w1, b1, w2)):
         if out == 0 or is_zero(row):
-            if drop_degenerate:
-                if b > 0:
-                    bias += out * b
-                continue
             raise DegenerateNeuron(j + 1)
         d, s = primitive_direction(row)
         neurons.append(Neuron(Breakline(d, -b / s), abs(s) * out, 1 if s > 0 else -1))
@@ -223,15 +219,14 @@ class TestRawNetDifferential:
         assert net == ShallowNet(*as_literals(weights))
         assert (net.w1, net.b1, net.w2, net.b2) == weights
         assert (net.d0, net.d1) == (d0, len(weights[0]))
-        for drop in (False, True):
-            try:
-                expected = reference_effective_tuple(*weights, drop_degenerate=drop)
-            except DegenerateNeuron as exc:
-                with pytest.raises(DegenerateNeuron) as got:
-                    effective_tuple(net, drop_degenerate=drop)
-                assert got.value.args == exc.args
-                continue
-            t = effective_tuple(net, drop_degenerate=drop)
+        try:
+            expected = reference_effective_tuple(*weights)
+        except DegenerateNeuron as exc:
+            with pytest.raises(DegenerateNeuron) as got:
+                effective_tuple(net)
+            assert got.value.args == exc.args
+        else:
+            t = effective_tuple(net)
             assert t == expected
             assert canonicalize(t, d0) == reference_canonicalize(expected, d0)
         for _ in range(3):
