@@ -87,7 +87,7 @@ def _cmd_synth(args):
     except NotRepresentable as exc:
         print(jsonio.dumps({"error": "NotRepresentable", "reason": exc.reason}))
         return 1
-    print(jsonio.dumps(jsonio.tuple_to_dict(result)))
+    print(jsonio.tuple_text(result))
     return 0
 
 

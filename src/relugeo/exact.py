@@ -2,7 +2,10 @@
 
 Everything downstream (canonical forms, minimality, synthesis) relies on
 equality tests being exact, so arithmetic is over ``Fraction`` or over
-integers scaled by a common denominator, never floats.
+integers scaled by a common denominator, never floats.  Each literal shape has
+one reader: ``rat_parts`` one literal (plain "p" or "p/q" by ``int``, any other
+by ``Fraction``), ``block_parts`` plain literals joined by ","; ``row_parts``
+tries the row as one block, then reads it literal by literal.
 Directions of hyperplanes are stored as primitive integer vectors: not all
 zero, gcd one, first nonzero entry positive.  The sign convention doubles as
 the orientation cone: a nonzero vector is positively oriented iff its first
@@ -42,15 +45,14 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 # Integer and "p/q" literals with a nonzero denominator, ASCII, no whitespace:
 # every supported Python's Fraction reads them as int() does.
 _PLAIN = r"[-+]?[0-9]+(?:/0*[1-9][0-9]*)?"
+_PLAIN_LITERAL = re.compile(_PLAIN, re.ASCII)
 _PLAIN_ROW = re.compile(rf"{_PLAIN}(?:,{_PLAIN})*", re.ASCII)
 
 
 def block_parts(text, count):
-    """``(nums, dens)``, unreduced, of ``count`` literals joined by "," in
-    ``text`` if all are plain, as ``row_parts`` reads them, else None.
-
-    One pattern check, then "p" is read as "p/1" and every part by one ``int``.
-    """
+    """``(nums, dens)``, unreduced, of ``count`` plain literals joined by "," in
+    ``text``, else None: one pattern check, then "p" is read as "p/1" and every
+    part by one ``int``."""
     literals = text.split(",")
     if len(literals) != count or not _PLAIN_ROW.fullmatch(text):
         return None
@@ -63,41 +65,28 @@ def block_parts(text, count):
 
 
 def row_parts(values) -> list[tuple[int, int]]:
-    """``rat_parts`` of each entry of a row, with its errors, up to reduction.
-
-    A row of plain literals is matched once, joined by ",", and read by ``int``
-    unreduced; any other row (non-strings, whitespace, decimals, "," in an
-    entry, zero denominators, too many digits) goes entry by entry.
-    """
+    """``rat_parts`` of each entry of a row, with its errors, up to reduction:
+    ``block_parts`` of the row joined by "," when every entry is a plain
+    string, parts unreduced, else ``rat_parts`` entry by entry."""
     values = list(values)
     try:
-        text = ",".join(values)
-        if len(literals := text.split(",")) == len(values) and _PLAIN_ROW.fullmatch(text):
-            parts = []  # a plain loop: faster here than a comprehension over partition
-            for literal in literals:
-                num, _, den = literal.partition("/")
-                parts.append((int(num), int(den) if den else 1))
-            return parts
-    except (TypeError, ValueError):  # a non-string entry; more digits than int() allows
-        pass
-    return [_entry_parts(v) for v in values]
+        parts = block_parts(",".join(values), len(values))
+    except TypeError:  # an entry that is not a string
+        parts = None
+    return [rat_parts(v) for v in values] if parts is None else list(zip(*parts))
 
 
 def rat_parts(value) -> tuple[int, int]:
-    """(numerator, denominator > 0) in lowest terms of a literal ``rat`` accepts,
-    with its errors; a string is parsed as ``row_parts`` of a one-entry row."""
-    if not isinstance(value, str):
-        return _entry_parts(value)
-    num, den = row_parts((value,))[0]
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _entry_parts(value) -> tuple[int, int]:
-    """Parts in lowest terms of any literal ``rat`` accepts, through ``Fraction``:
-    a zero denominator or an exponent above ``_MAX_EXPONENT`` raises ValueError."""
+    """(numerator, denominator > 0) in lowest terms of any literal ``rat`` accepts:
+    a plain string by ``int``, any other through ``Fraction``, where a zero
+    denominator or an exponent above ``_MAX_EXPONENT`` raises ValueError."""
     # str first: isinstance against Fraction, an ABC, is slow for other types
     if isinstance(value, str):
+        if _PLAIN_LITERAL.fullmatch(value):
+            num, _, den = value.partition("/")
+            num, den = int(num), int(den) if den else 1
+            g = gcd(num, den)
+            return num // g, den // g
         exponent = _EXPONENT.search(value)
         if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
             raise ValueError(f"exponent of {value!r} exceeds {_MAX_EXPONENT}")
@@ -125,11 +114,7 @@ def rat(value) -> Fraction:
 
 def rat_str(value: Fraction) -> str:
     """Serialize a rational as "p/q", or "p" when the denominator is one."""
-    if type(value) is not Fraction:
-        value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value if type(value) is Fraction else Fraction(value))
 
 
 def vec(values) -> tuple[Fraction, ...]:

@@ -4,11 +4,12 @@ Rationals serialize as "p/q" or "p" and read exactly.  Integer fields (d0,
 d1, orient, d) take non-bool JSON integers, array fields (W1, its rows, b1,
 W2, affine, terms, neurons, d, declared breaklines) JSON arrays.
 
-`report_text` and `enum_text` write `classify` and `enum` reports straight to
-text, byte-for-byte ``json.dumps(obj, indent=2)``, rendering each distinct
-`Neuron` once, and `form_text` writes `canon`'s form the same way;
-`report_to_dict` and `form_to_dict` are the parses of those texts.  `dumps`,
-which writes for `equiv`, `synth` and `random`, is ``json.dumps(obj, indent=2)``.
+`form_text`, `tuple_text`, `report_text` and `enum_text` write the output of
+`canon`, `synth`, `classify` and `enum` straight to the text of
+``json.dumps(obj, indent=2)``, through one renderer of terms, neurons and tuples
+that renders each distinct direction and `Neuron` once; the ``*_to_dict`` are
+their parses.  `dumps`, ``json.dumps(obj, indent=2)``, writes `equiv` verdicts,
+violations, errors and `random` nets.
 """
 
 from __future__ import annotations
@@ -59,22 +60,15 @@ def net_from_dict(data: dict) -> ShallowNet:
     return net
 
 
-def _breakline_to_dict(bl: Breakline) -> dict:
-    return {"d": list(bl.direction), "q": rat_str(bl.offset)}
-
-
 def _breakline_from_dict(data: dict) -> Breakline:
     """A declared hyperplane {d.x = q}, rescaled to a primitive lex-positive d."""
     d, s = primitive_direction(_list(data["d"], _int))
     return Breakline(d, rat(data["q"]) / s)
 
 
-def _neuron_to_dict(nr: Neuron) -> dict:
-    return {**_breakline_to_dict(nr.breakline), "kink": rat_str(nr.kink), "orient": nr.orientation}
-
-
 def tuple_to_dict(t: EffectiveTuple) -> dict:
-    return {"neurons": [_neuron_to_dict(nr) for nr in t.neurons], "bias": rat_str(t.out_bias)}
+    """The tuple as JSON data: the parse of `tuple_text`, which decides every byte."""
+    return json.loads(tuple_text(t))
 
 
 def tuple_from_dict(data: dict) -> EffectiveTuple:
@@ -105,19 +99,41 @@ def _array(items: list, depth: int) -> str:
     return f"[{_PAD[depth + 1]}{inner.join(items)}{_PAD[depth]}]" if items else "[]"
 
 
-def form_text(cf: CanonicalForm) -> str:
-    """`canon`'s output, exactly ``json.dumps(form_to_dict(cf), indent=2)``; each
-    distinct direction is rendered once."""
-    lines, terms = {}, []  # lines: a direction to its JSON array
-    for bl, k in cf.terms:
+def _writer(depth: int):
+    """``(term, tuple_)``: renderers of a term (breakline, kink) as an object at
+    ``depth`` and of a tuple at ``depth - 2`` with its neurons at ``depth``, each
+    distinct direction and `Neuron` (by ``id``, kept alive by the caller) once."""
+    lines, neurons = {}, {}  # a direction to its JSON array; a neuron's id to its text
+    pad, top, end, tail = _PAD[depth + 1], _PAD[depth - 1], _PAD[depth] + "}", _PAD[depth - 2] + "}"
+
+    def term(bl, kink, orient=""):
         if (d := lines.get(bl.direction)) is None:
-            d = lines[bl.direction] = _array(list(map(str, bl.direction)), 3)
-        terms.append(
-            f'{{{_PAD[3]}"d": {d},{_PAD[3]}"q": "{bl.offset!s}",{_PAD[3]}"kink": "{k!s}"{_PAD[2]}}}'
-        )
+            d = lines[bl.direction] = _array(list(map(str, bl.direction)), depth + 1)
+        return f'{{{pad}"d": {d},{pad}"q": "{bl.offset!s}",{pad}"kink": "{kink!s}"{orient}{end}'
+
+    def neuron(nr):  # renders a neuron met for the first time
+        orient = f',{pad}"orient": {nr.orientation}'
+        return neurons.setdefault(id(nr), term(nr.breakline, nr.kink, orient))
+
+    def tuple_(t):
+        items = [neurons.get(id(nr)) or neuron(nr) for nr in t.neurons]
+        return f'{{{top}"neurons": {_array(items, depth - 1)},{top}"bias": "{t.out_bias!s}"{tail}'
+
+    return term, tuple_
+
+
+def tuple_text(t: EffectiveTuple) -> str:
+    """`synth`'s output, exactly ``json.dumps(tuple_to_dict(t), indent=2)``."""
+    return _writer(2)[1](t)
+
+
+def form_text(cf: CanonicalForm) -> str:
+    """`canon`'s output, exactly ``json.dumps(form_to_dict(cf), indent=2)``."""
+    term = _writer(2)[0]
+    terms = _array([term(bl, k) for bl, k in cf.terms], 1)
     affine = _array([f'"{e!s}"' for e in cf.affine], 1)
     return (
-        f'{{{_PAD[1]}"terms": {_array(terms, 1)},{_PAD[1]}"affine": {affine},'
+        f'{{{_PAD[1]}"terms": {terms},{_PAD[1]}"affine": {affine},'
         f'{_PAD[1]}"bias": "{cf.bias!s}",{_PAD[1]}"d0": {cf.d0}{_PAD[0]}}}'
     )
 
@@ -125,31 +141,14 @@ def form_text(cf: CanonicalForm) -> str:
 def _families_text(head: str, families, tail: str) -> str:
     """``head``, the families' JSON array at depth 1, then ``tail``, in one join
     (a report's one copy of its text); each distinct `Neuron` is rendered once."""
-    lines = {}  # a direction to its JSON array
-    neurons = {}  # the id of a neuron, kept alive by ``families``, to its text
-
-    def neuron(nr):  # renders a neuron met for the first time
-        bl = nr.breakline
-        if (d := lines.get(bl.direction)) is None:
-            d = lines[bl.direction] = _array(list(map(str, bl.direction)), 7)
-        text = neurons[id(nr)] = (
-            f'{{{_PAD[7]}"d": {d},{_PAD[7]}"q": "{bl.offset!s}",'
-            f'{_PAD[7]}"kink": "{nr.kink!s}",{_PAD[7]}"orient": {nr.orientation}{_PAD[6]}}}'
-        )
-        return text
+    tuple_ = _writer(6)[1]
 
     def family(fam):
-        tuples = [
-            f'{{{_PAD[5]}"neurons": '
-            f"{_array([neurons.get(id(nr)) or neuron(nr) for nr in t.neurons], 5)},"
-            f'{_PAD[5]}"bias": "{t.out_bias!s}"{_PAD[4]}}}'
-            for t in fam.tuples
-        ]
         out = (
             f'{{{_PAD[3]}"kind": {_encode(fam.kind)},'
             f'{_PAD[3]}"sigma": {_array(list(map(str, fam.sigma)), 3)},'
             f'{_PAD[3]}"provenance": {_array([str(j + 1) for j in fam.provenance], 3)},'
-            f'{_PAD[3]}"tuples": {_array(tuples, 3)}'
+            f'{_PAD[3]}"tuples": {_array(list(map(tuple_, fam.tuples)), 3)}'
         )
         if fam.kind == KIND_FRESH:
             out += f',{_PAD[3]}"r_values": ' + _array([f'"{r!s}"' for r in fam.r_values], 3)
@@ -197,7 +196,8 @@ def verdict_to_dict(result) -> dict:
             "b_diff": rat_str(result.b_diff),
         }
     if isinstance(result, Different):
-        return {"verdict": "different", "witness": _breakline_to_dict(result.witness)}
+        w = result.witness
+        return {"verdict": "different", "witness": {"d": list(w.direction), "q": rat_str(w.offset)}}
     raise TypeError(f"not an equivalence verdict: {result!r}")
 
 

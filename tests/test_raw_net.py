@@ -146,6 +146,18 @@ class TestLiteralParser:
             with pytest.raises(TypeError):
                 rat_parts(bad)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["1,2", "007/010", "-0", "+12/8", "1/0", "3/-4", "٣", "１２/４", f"-{'9' * 5000}/7"],
+        ids=lambda literal: repr(literal) if len(literal) < 10 else "5000-digit-numerator",
+    )
+    def test_edge_literals(self, literal):
+        expected = outcome(reference_rat, literal)
+        if isinstance(expected, Fraction):
+            expected = (expected.numerator, expected.denominator)
+        assert outcome(rat_parts, literal) == expected
+        assert outcome(rat, literal) == outcome(reference_rat, literal)
+
     def test_more_digits_than_int_allows(self):
         literal = "1" * 5000
         assert outcome(rat_parts, literal)[0] is ValueError
