@@ -4,8 +4,7 @@ Everything downstream (canonical forms, minimality, synthesis) relies on
 equality tests being exact, so arithmetic is over ``Fraction`` or over
 integers scaled by a common denominator, never floats.  Each literal shape has
 one reader: ``rat_parts`` one literal (plain "p" or "p/q" by ``int``, any other
-by ``Fraction``), ``block_parts`` plain literals joined by ","; ``row_parts``
-tries the row as one block, then reads it literal by literal.
+string by ``Fraction``), ``block_parts`` plain literals joined by ",".
 Directions of hyperplanes are stored as primitive integer vectors: not all
 zero, gcd one, first nonzero entry positive.  The sign convention doubles as
 the orientation cone: a nonzero vector is positively oriented iff its first
@@ -64,22 +63,11 @@ def block_parts(text, count):
     return flat[0::2], flat[1::2]
 
 
-def row_parts(values) -> list[tuple[int, int]]:
-    """``rat_parts`` of each entry of a row, with its errors, up to reduction:
-    ``block_parts`` of the row joined by "," when every entry is a plain
-    string, parts unreduced, else ``rat_parts`` entry by entry."""
-    values = list(values)
-    try:
-        parts = block_parts(",".join(values), len(values))
-    except TypeError:  # an entry that is not a string
-        parts = None
-    return [rat_parts(v) for v in values] if parts is None else list(zip(*parts))
-
-
 def rat_parts(value) -> tuple[int, int]:
     """(numerator, denominator > 0) in lowest terms of any literal ``rat`` accepts:
     a plain string by ``int``, any other through ``Fraction``, where a zero
-    denominator or an exponent above ``_MAX_EXPONENT`` raises ValueError."""
+    denominator or an exponent above ``_MAX_EXPONENT`` raises ValueError.  A
+    bool, JSON ``true`` or ``false``, raises TypeError as any other type does."""
     # str first: isinstance against Fraction, an ABC, is slow for other types
     if isinstance(value, str):
         if _PLAIN_LITERAL.fullmatch(value):
@@ -95,7 +83,7 @@ def rat_parts(value) -> tuple[int, int]:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
         return parsed.numerator, parsed.denominator
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value), 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator

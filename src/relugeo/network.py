@@ -12,7 +12,7 @@ c > 0, so every exact statement survives the integer rescaling.
 
 A raw network holds hidden neuron j as the integer row (W_j, B_j, D_j) with
 w1_j = W_j / D_j, b1_j = B_j / D_j and D_j the lcm of their denominators,
-parsed a block of W1 rows at a time (row by row in a block with a literal
+parsed a block of W1 rows at a time (entry by entry in a block with a literal
 that is not plain) and reduced once per neuron, and its output weight w2_j as
 the reduced integer pair (n_j, m_j).  The effective tuple and the canonical
 form are read off these integers and ``evaluate_net`` compiles them, so raw
@@ -37,7 +37,7 @@ from operator import mul
 
 from .errors import DegenerateNeuron, DimensionMismatch, NonPositiveScale
 from .exact import compiled, dot, is_zero, primitive_direction, primitive_row, rat, relu_sum
-from .exact import block_parts, row_parts, vec
+from .exact import block_parts, rat_parts, vec
 
 
 @dataclass(frozen=True, order=True)
@@ -111,10 +111,10 @@ class ShallowNet:
     primitive integer vector with D_j > 0 proportional to (w1_j, b1_j, 1),
     divided by its gcd once.  W1 is parsed ``_BLOCK`` rows at a time, then b1
     and W2 as one block each (``_parts``), a block with a literal that is not
-    plain row by row, with its errors; the rows are built once the shapes are
-    checked.  W2 is held as reduced integer pairs ``(n_j, m_j)``, m_j > 0,
-    one ``gcd`` each.  Row and pair are unique, so equality is equality of
-    weights.  ``w1``, ``b1`` and ``w2`` give the weights back as Fractions.
+    plain entry by entry, with its errors; the rows are built once the shapes
+    are checked and d0 >= 1.  W2 is held as reduced integer pairs ``(n_j, m_j)``,
+    m_j > 0, one ``gcd`` each.  Row and pair are unique, so equality is equality
+    of weights.  ``w1``, ``b1`` and ``w2`` give the weights back as Fractions.
     """
 
     rows: tuple[tuple[tuple[int, ...], int, int], ...]
@@ -134,6 +134,8 @@ class ShallowNet:
         if len(widths) > 1:
             raise DimensionMismatch("W1 rows of unequal length")
         rows, (d0,) = [], widths
+        if not d0:
+            raise DimensionMismatch("a net needs d0 >= 1, not 0")
         for nums, dens, lengths in blocks:
             for k in range(len(lengths)):
                 j, start = len(rows), k * d0
@@ -171,16 +173,17 @@ _BLOCK = 64
 
 
 def _parts(rows):
-    """``(nums, dens, lengths)`` of ``rows``: their parts, unreduced, in one flat
-    list each, and each row's length.  One ``exact.block_parts`` when every
-    entry is plain, else ``exact.row_parts`` per row, which raises the errors."""
+    """``(nums, dens, lengths)`` of ``rows``: their parts in one flat list each,
+    and each row's length.  One ``exact.block_parts``, parts unreduced, when
+    every entry is plain, else ``exact.rat_parts`` entry by entry in row order,
+    which raises the errors; each row is iterated once."""
     try:
         lengths = list(map(len, rows))  # before the join, which would use up a generator
         parts = block_parts(",".join(map(",".join, rows)), sum(lengths))
     except TypeError:  # a row without a length, an entry that is not a string
         parts = None
     if parts is None:
-        parsed = list(map(row_parts, rows))
+        parsed = [[rat_parts(e) for e in row] for row in rows]
         flat = [p for row in parsed for p in row]
         return [n for n, _ in flat], [d for _, d in flat], list(map(len, parsed))
     return *parts, lengths

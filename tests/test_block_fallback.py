@@ -4,7 +4,8 @@
 an entry that is not a plain string literal is read entry by entry, and the
 blocks around it stay blocks.  Rows 64 to 127 form the middle block: an odd
 entry there must give `test_row_parser`'s rows, W2 and b2, or its exception
-type and message, and only that block's rows go through ``row_parts``.
+type and message, and only that block's entries go through ``rat_parts``, in
+row order.  With two defects in different rows, the first in row order raises.
 """
 
 from fractions import Fraction
@@ -30,10 +31,10 @@ def test_valid_literal_in_the_middle_block(odd, monkeypatch):
     w1, b1, w2, b2 = weights(D1)
     w1[MIDDLE][1] = odd
     calls = []
-    row_parts = network.row_parts
-    monkeypatch.setattr(network, "row_parts", lambda row: calls.append(row) or row_parts(row))
+    rat_parts = network.rat_parts
+    monkeypatch.setattr(network, "rat_parts", lambda e: calls.append(e) or rat_parts(e))
     assert fields(w1, b1, w2, b2) == reference_net(w1, b1, w2, b2)
-    assert calls == w1[64:128]
+    assert calls == [e for row in w1[64:128] for e in row]
 
 
 def test_generator_row_in_the_middle_block():
@@ -43,10 +44,34 @@ def test_generator_row_in_the_middle_block():
     assert fields(w1, b1, w2, b2) == expected
 
 
-@pytest.mark.parametrize("bad", ["1/0", "1,2"])
-def test_bad_literal_in_the_middle_block(bad):
+GENERATOR = object()
+
+
+@pytest.mark.parametrize(
+    "defects, error",
+    [
+        ({MIDDLE: "1/0"}, ValueError),
+        ({MIDDLE: "1,2"}, ValueError),
+        ({MIDDLE: "1/0", MIDDLE + 3: 5}, ValueError),
+        ({MIDDLE: 5, MIDDLE + 3: "1/0"}, TypeError),
+        ({MIDDLE: "1,2", MIDDLE + 3: GENERATOR}, ValueError),
+    ],
+    ids=["1/0", "1,2", "1/0-then-int-row", "int-row-then-1/0", "1,2-then-generator-row"],
+)
+def test_bad_literal_in_the_middle_block(defects, error):
+    """A string defect is entry 2 of its row, any other replaces the row; a
+    ``GENERATOR`` row is the plain row as a generator, read as a list by the
+    reference."""
     w1, b1, w2, b2 = weights(D1)
-    w1[MIDDLE][2] = bad
+    for j, defect in defects.items():
+        if isinstance(defect, str):
+            w1[j][2] = defect
+        elif defect is not GENERATOR:
+            w1[j] = defect
+    expected = outcome(lambda: reference_net(w1, b1, w2, b2))
+    for j, defect in defects.items():
+        if defect is GENERATOR:
+            w1[j] = (e for e in w1[j])
     got = outcome(lambda: fields(w1, b1, w2, b2))
-    assert got == outcome(lambda: reference_net(w1, b1, w2, b2))
-    assert isinstance(got[0], type) and issubclass(got[0], ValueError)
+    assert got == expected
+    assert isinstance(got[0], type) and issubclass(got[0], error)

@@ -1,10 +1,11 @@
 """W2 held as reduced integer pairs.
 
 ``ShallowNet`` reads W2 as one block: ``exact.block_parts`` when every entry
-is a plain literal, ``exact.row_parts`` when one is not (a Fraction, an int,
-a padded string).  Either way each entry is reduced with one gcd, so "2/4",
-"1/2" and ``Fraction(1, 2)`` give one net: equal, hash equal, the same
-``w2`` Fractions and the same ``repr`` as when W2 was a tuple of Fractions.
+is a plain literal, ``exact.rat_parts`` entry by entry when one is not (a
+Fraction, an int, a padded string).  Either way each entry is reduced with one
+gcd, so "2/4", "1/2" and ``Fraction(1, 2)`` give one net: equal, hash equal,
+the same ``w2`` Fractions and the same ``repr`` as when W2 was a tuple of
+Fractions.
 A zero entry ("0", "-0/3") is still a degenerate neuron, named by its index.
 """
 
@@ -29,7 +30,7 @@ HALVES = ["2/4", "1/2", F(1, 2), "4/8"]
 
 def net(half, d1, at, odd=False):
     """d1 > 1 neurons in d0 = 2 whose W2 entry ``at`` is ``half``; with ``odd``
-    the entry before it (cyclically) is the int 3, so W2 is read by ``row_parts``."""
+    the entry before it (cyclically) is the int 3, so W2 is read by ``rat_parts``."""
     w1 = [[str(j % 5 + 1), f"-{j % 3}/2"] for j in range(d1)]
     b1 = [f"{j % 7 - 3}/3" for j in range(d1)]
     w2 = [f"{j % 4 + 1}/{j % 3 + 1}" for j in range(d1)]
@@ -43,11 +44,12 @@ def net(half, d1, at, odd=False):
 @pytest.mark.parametrize("d1, at", [(2, 0), (64, 63), (65, 64), (129, 0)])
 def test_equal_literals_make_equal_nets(d1, at, odd, monkeypatch):
     calls = []
-    row_parts = network.row_parts
-    monkeypatch.setattr(network, "row_parts", lambda row: calls.append(row) or row_parts(row))
+    rat_parts = network.rat_parts
+    monkeypatch.setattr(network, "rat_parts", lambda e: calls.append(e) or rat_parts(e))
     nets = [ShallowNet(*net(half, d1, at, odd)) for half in HALVES]
-    # W2 (and no W1 block) goes through row_parts exactly when asked to, or holds a Fraction
-    assert len(calls) == sum(odd or isinstance(half, F) for half in HALVES)
+    # W2's d1 entries (and no W1 block) go through rat_parts exactly when asked
+    # to, or when W2 holds a Fraction
+    assert len(calls) == d1 * sum(odd or isinstance(half, F) for half in HALVES)
     first = nets[0]
     for other in nets[1:]:
         assert other == first and hash(other) == hash(first)

@@ -141,8 +141,9 @@ class TestLiteralParser:
     def test_non_strings(self):
         assert rat_parts(F(-4, 6)) == (-2, 3)
         assert rat_parts(7) == (7, 1)
-        assert rat_parts(True) == (1, 1)
-        for bad in (1.5, None, [1], {"p": 1}):
+        with pytest.raises(TypeError, match="^cannot interpret True as a rational$"):
+            rat_parts(True)
+        for bad in (False, 1.5, None, [1], {"p": 1}):
             with pytest.raises(TypeError):
                 rat_parts(bad)
 
@@ -270,6 +271,8 @@ class TestRawNetDifferential:
             ShallowNet([], [], [], "0")
         with pytest.raises(DimensionMismatch, match="unequal length"):
             ShallowNet([["1"], ["1", "2"]], ["0", "0"], ["1", "1"], "0")
+        with pytest.raises(DimensionMismatch, match="^a net needs d0 >= 1, not 0$"):
+            ShallowNet([[]], ["0"], ["1"], "0")
         with pytest.raises(DimensionMismatch, match="point has length 2, net expects 1"):
             evaluate_net(ShallowNet([["0"]], ["1"], ["1"], "0"), (1, 2))
 

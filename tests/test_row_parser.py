@@ -1,13 +1,14 @@
 """Weight rows parsed in one pass against the per-literal constructor.
 
 ``ShallowNet`` reads plain blocks of W1 rows, and b1 and W2, through
-``exact.block_parts``, and a block with a literal that is not plain row by row
-through ``exact.row_parts``: one pattern check per block or row, parts not
-reduced, one gcd per neuron and per W2 entry.  The reference
+``exact.block_parts``, one pattern check per block, parts not reduced, and a
+block with a literal that is not plain entry by entry through
+``exact.rat_parts``; then one gcd per neuron and per W2 entry.  The reference
 below is the per-literal constructor: one ``rat_parts`` call per literal
-(reduced, with literals parsed by ``Fraction`` as ``reference_rat`` does) and
-rows over the lcm of the reduced denominators.  Both must agree on the
-integer rows, W2 and b2, or raise the same exception with the same message.
+(reduced, with literals parsed by ``Fraction`` as ``reference_rat`` does, and
+no booleans) and rows over the lcm of the reduced denominators, d0 >= 1.  Both
+must agree on the integer rows, W2 and b2, or raise the same exception with the
+same message.
 """
 
 import contextlib
@@ -22,8 +23,7 @@ from hypothesis import strategies as st
 
 from relugeo.cli import run
 from relugeo.errors import DimensionMismatch
-from relugeo.exact import row_parts
-from relugeo.network import ShallowNet
+from relugeo.network import ShallowNet, _parts
 from test_raw_net import digits, literals, reference_rat
 
 F = Fraction
@@ -34,7 +34,7 @@ def reference_parts(value):
     if isinstance(value, str):
         parsed = reference_rat(value)
         return parsed.numerator, parsed.denominator
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value), 1
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
@@ -55,11 +55,19 @@ def reference_net(w1, b1, w2, b2):
     d0 = len(w1[0])
     if any(len(row) != d0 for row in w1):
         raise DimensionMismatch("W1 rows of unequal length")
+    if d0 == 0:
+        raise DimensionMismatch("a net needs d0 >= 1, not 0")
     rows = []
     for row, (bn, bd) in zip(w1, b1):
         den = lcm(bd, *(d for _, d in row))
         rows.append((tuple(n * (den // d) for n, d in row), bn * (den // bd), den))
     return tuple(rows), w2, b2
+
+
+def one_row_parts(row):
+    """``network._parts`` of the one row ``row``, as (num, den) pairs."""
+    nums, dens, _ = _parts([row])
+    return list(zip(nums, dens))
 
 
 def outcome(build):
@@ -115,7 +123,7 @@ def test_net_matches_per_literal_constructor(case):
 @given(st.lists(entries, max_size=5))
 def test_row_parts_are_rat_parts_up_to_reduction(row):
     expected = outcome(lambda: [F(*reference_parts(e)) for e in row])
-    assert outcome(lambda: [F(*parts) for parts in row_parts(row)]) == expected
+    assert outcome(lambda: [F(*parts) for parts in one_row_parts(row)]) == expected
 
 
 @pytest.mark.parametrize(
@@ -125,14 +133,15 @@ def test_row_parts_are_rat_parts_up_to_reduction(row):
         (["1/0", "2"], "zero denominator in '1/0'"),
         (["1,2"], "Invalid literal for Fraction: '1,2'"),
         ([" 6/4", "2"], [(3, 2), (2, 1)]),
-        ((e for e in ["1", "2/4"]), [(1, 1), (2, 4)]),
+        # a row without a length is no block: its entries are read reduced
+        ((e for e in ["1", "2/4"]), [(1, 1), (1, 2)]),
         ([], []),
     ],
     ids=["unreduced", "zero-denominator", "comma", "whitespace", "generator", "empty"],
 )
 def test_row_parts_cases(row, parts):
     expected = parts if isinstance(parts, list) else (ValueError, parts)
-    assert outcome(lambda: row_parts(row)) == expected
+    assert outcome(lambda: one_row_parts(row)) == expected
 
 
 def test_one_gcd_per_neuron():
@@ -167,3 +176,32 @@ def test_non_arrays_exit_2(tmp_path, data, found):
         code = run(["canon", str(path)])
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue() == f"error: {path}: expected a JSON array, found {found}\n"
+
+
+# -- booleans are not rationals, and a net needs d0 >= 1 ------------------
+
+RELU_FORM = {"terms": [{"d": [1], "q": "0", "kink": "1"}], "affine": ["0"], "bias": "0", "d0": 1}
+RELU_TUPLE = {"neurons": [{"d": [1], "q": "0", "kink": "1", "orient": 1}], "bias": "0"}
+NOT_RATIONAL = "{path}: cannot interpret %r as a rational"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"W1": [[True]], "b1": [False], "W2": [True], "b2": False}, NOT_RATIONAL % True),
+        ({**RELU_NET, "b2": False}, NOT_RATIONAL % False),
+        ({**RELU_FORM, "affine": [True]}, NOT_RATIONAL % True),
+        ({**RELU_FORM, "terms": [{"d": [1], "q": False, "kink": "1"}]}, NOT_RATIONAL % False),
+        ({**RELU_TUPLE, "bias": True}, NOT_RATIONAL % True),
+        ({"W1": [[]], "b1": ["0"], "W2": ["1"], "b2": "0"}, "a net needs d0 >= 1, not 0"),
+    ],
+    ids=["net-booleans", "net-b2", "form-affine", "form-offset", "tuple-bias", "zero-width-net"],
+)
+def test_rejected_literals_and_shapes_exit_2(tmp_path, data, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["canon", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: {message.format(path=path)}\n"

@@ -2,7 +2,7 @@
 
 ``ShallowNet`` joins up to ``network._BLOCK`` (64) W1 rows, then b1 and W2,
 into one text each for ``exact.block_parts``; only a block with a literal
-outside the plain grammar is read row by row, through ``exact.row_parts``,
+outside the plain grammar is read entry by entry, through ``exact.rat_parts``,
 and the shapes are checked once every block is read.  At 63, 64, 65 and
 129 rows, a bad literal in the first or the last block, or a short row in the
 last one, must give the exception type and message of the reference in
