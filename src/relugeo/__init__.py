@@ -32,7 +32,7 @@ from .errors import (
     RelugeoError,
     ZeroVector,
 )
-from .exact import Rational, affine_fit, in_span, primitive_direction, rank, rat, rat_str
+from .exact import affine_fit, in_span, primitive_direction, rank, rat, rat_str
 from .minimality import (
     MinimalityReport,
     RepresentationFamily,

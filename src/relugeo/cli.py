@@ -180,7 +180,7 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (RelugeoError, ValueError, OSError, KeyError) as exc:
+    except (RelugeoError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,9 +32,6 @@ from operator import mul
 
 from .errors import DimensionMismatch, ZeroVector
 
-Rational = Fraction
-
-
 # Largest decimal exponent a literal may carry: "1e100000000" would make
 # Fraction build a hundred-million-digit integer.
 _MAX_EXPONENT = 1000

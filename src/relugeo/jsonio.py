@@ -18,11 +18,11 @@ import json
 from json.encoder import encode_basestring_ascii as _encode
 
 from .canonical import CanonicalForm, Different, Equal, EqualUpToAffine
-from .errors import DimensionMismatch, SchemaError
+from .errors import RelugeoError, SchemaError
 from .exact import primitive_direction, rat, rat_str
 from .minimality import KIND_FRESH, MinimalityReport
 from .network import Breakline, EffectiveTuple, Neuron, ShallowNet
-from .pwa import PWASpec, expr_dim, parse_pwa
+from .pwa import PWASpec, parse_pwa
 from .synthesis import Violation
 
 
@@ -210,35 +210,27 @@ def violation_to_dict(v: Violation) -> dict:
 
 def pwa_spec_from_dict(data: dict) -> PWASpec:
     expr = parse_pwa(data["expr"])
-    breaklines = data.get("breaklines", "auto")  # "auto" is read off by synthesize
+    breaklines = data.get("breaklines", "auto")  # synthesize reads "auto" off, checks dimensions
     if breaklines != "auto":
         breaklines = tuple(_breakline_from_dict(b) for b in _list(breaklines))
-        d0 = expr_dim(expr)
-        for i, bl in enumerate(breaklines):
-            if bl.d0 != d0:
-                raise DimensionMismatch(
-                    f"declared breakline {i + 1} has dimension {bl.d0}, the expression {d0}"
-                )
     return PWASpec(expr, breaklines)
 
 
 def load(path: str):
     """Load any known object from a JSON file, sniffing its schema by keys.
 
-    Values of the wrong type or shape, a missing key, and nesting too deep
-    for the JSON decoder, raise SchemaError naming the file.
+    Any input error (bad bytes, JSON or values, nesting too deep, a missing
+    key) raises SchemaError naming the file, wherever it is met.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:
-            raise SchemaError(f"{path}: JSON nested too deeply") from None
     try:
-        return from_dict(data)
-    except (TypeError, AttributeError) as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            return from_dict(json.load(fh))
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
     except KeyError as exc:
         raise SchemaError(f"{path}: missing key {exc}") from exc
+    except (TypeError, AttributeError, ValueError, RelugeoError) as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def from_dict(data: dict):

@@ -6,16 +6,18 @@ point of it off the other breaklines, is kink * normal of the one term on
 that breakline, and what is left is affine: a cancelling pair of neurons
 (``affine_pair``), for at most n+2 in all.  ``check_transversality`` scales
 each breakline to an integer row once and runs one ``exact.eliminate`` per
-subset; only a violating subset is solved for its point.  ``synthesize``
-compiles a spec once (``pwa._compile``) and reads the network off f's exact
-form, checked or not: a flat spec's is its compile's, a nested spec's is read
-off the cells of the hyperplanes its compile bounds its pieces by and the
-declared ones (``_cells``, an incremental construction), a kink at one point
-of each hyperplane, then the form checked at one point per cell.  Only a
-black box is measured: each kink by exact affine interpolation on small
-simplices either side of its breakline, then the remainder by one fit, then
-f == response on sampled points X / D through integer numerators (a compiled
-f's ``kernel``; a black box is lifted to f(X / D) * D).
+subset; only a violating subset is solved for its point.  Declared
+breaklines are a set: checked, a repeat is a violation, unchecked one
+breakline.  ``synthesize`` compiles a spec once (``pwa._compile``) and reads
+the network off f's exact form, checked or not: a flat spec's is its
+compile's, a nested spec's is read off the cells of the hyperplanes its
+compile bounds its pieces by and the declared ones (``_cells``, an
+incremental construction), a kink at one point of each hyperplane, then the
+form checked at one point per cell.  Only a black box is measured: each kink
+by exact affine interpolation on small simplices either side of its
+breakline, then the remainder by one fit, then f == response on sampled
+points X / D through integer numerators (a compiled f's ``kernel``; a black
+box is lifted to f(X / D) * D).
 """
 
 from __future__ import annotations
@@ -110,7 +112,8 @@ def point_on_breakline(breaklines, i, seed: int = 0):
     the pivot is solved from the breakline's equation.  Each other breakline
     removes only an affine slice of the grid, so the scan terminates.  A
     second breakline on the same hyperplane would cover the whole grid; it
-    raises NotTransversal instead (``_repeated``).
+    raises NotTransversal instead, with the pair and the point of breakline i
+    that is 0 off its pivot.
     """
     breaklines = list(breaklines)
     bl = breaklines[i]
@@ -122,7 +125,9 @@ def point_on_breakline(breaklines, i, seed: int = 0):
         x[pivot] = (bl.offset - dot(bl.direction, x)) / bl.direction[pivot]
         return tuple(x)
 
-    _repeated(breaklines, i)
+    for j, b in enumerate(breaklines):
+        if j != i and b == bl:  # directions are primitive and lex-positive
+            raise NotTransversal(Violation(tuple(sorted((i, j))), point((0,) * (bl.d0 - 1))))
     others = [b for j, b in enumerate(breaklines) if j != i]
     offset = random.Random(seed).randrange(0, 1000)
     for radius in count():
@@ -131,17 +136,6 @@ def point_on_breakline(breaklines, i, seed: int = 0):
                 x = point(v + offset if v >= 0 else v - offset for v in t)
                 if all(b.side(x) != 0 for b in others):
                     return x
-
-
-def _repeated(breaklines, i):
-    """NotTransversal, with the pair and the point of breakline i whose
-    coordinates but its pivot are 0, if another lies on its hyperplane."""
-    bl = breaklines[i]
-    for j, b in enumerate(breaklines):
-        # directions are primitive and lex-positive, so one hyperplane is one Breakline
-        if j != i and b == bl:
-            point, _ = solve_affine([bl.direction], [bl.offset], bl.d0)
-            raise NotTransversal(Violation(tuple(sorted((i, j))), point))
 
 
 def _fit_around(f, center, radius):
@@ -215,12 +209,14 @@ def synthesize_evaluator(
 
     ``f`` maps rational points of length d0 to rationals and must be affine on
     the cells of the declared breaklines.  With ``check=False`` the
-    transversality precondition is skipped; the final sampled verification
-    still rejects anything that is not a response.
+    transversality precondition is skipped and the declaration is read as a
+    set, a repeat as one breakline; the final sampled verification still
+    rejects anything that is not a response.
     """
     breaklines = list(breaklines)
     if check and (violation := check_transversality(breaklines)) is not None:
         raise NotTransversal(violation)
+    breaklines = list(dict.fromkeys(breaklines))  # a set: unchecked, a repeat is one breakline
 
     # every probe of jump_vector stays on x's side of the other breaklines,
     # so the jump is f's own: no term found so far needs subtracting
@@ -462,39 +458,31 @@ def _read_off(breaklines, form):
     return EffectiveTuple((*neurons, *pair), bias)
 
 
-def _check_declared(breaklines, d0):
-    """The declared hyperplanes, each with its first index, checked last index
-    first, as the measuring path meets them: NotTransversal if breakline i
-    repeats an earlier one (``_repeated``), DimensionMismatch if not in Q^d0."""
-    indexed = list(enumerate(breaklines))[::-1]
-    first = {bl: i for i, bl in indexed}  # the first index is written last
-    for i, bl in indexed:
-        if first[bl] != i:
-            _repeated(breaklines, i)
-        if bl.d0 != d0:
-            raise DimensionMismatch(f"point has length {bl.d0}, leaf expects {d0}")
-    return first
-
-
 def synthesize(spec: PWASpec, check: bool = True):
     """Synthesize a network for a parsed piecewise-affine specification.
 
     One compile gives the ``"auto"`` breaklines (NotFlat if nested) and f's exact
-    form, read off it if flat, else off its cells (``_nested_form``).  After the
-    transversality check, if ``check``, and ``_check_declared``, a kink off the
-    declared breaklines raises MissingBreakline; else the network is read off.
+    form, read off it if flat, else off its cells (``_nested_form``).  Unchecked,
+    the declaration is read as a set from the start.  A breakline of it outside
+    Q^d0 raises DimensionMismatch; then, after the transversality check if
+    ``check``, a kink off it raises MissingBreakline, else the network is read off.
     """
     num, m, flat, knots = _compile(spec.expr)  # num and knots are None for a flat spec
     auto = spec.breaklines == "auto"
     form = _read_flat(m, flat) if auto or knots is None else None
     breaklines = list(form[0] if auto else spec.breaklines)
+    declared = dict.fromkeys(breaklines)  # the declaration as a set
     d0 = expr_dim(spec.expr)
+    for i, bl in enumerate(breaklines if check else declared):
+        if bl.d0 != d0:
+            raise DimensionMismatch(
+                f"declared breakline {i + 1} has dimension {bl.d0}, the expression {d0}"
+            )
     if check and (violation := check_transversality(breaklines)) is not None:
         raise NotTransversal(violation)
-    declared = _check_declared(breaklines, d0)
     if knots is not None:
-        form = _nested_form(num, m, knots, breaklines, d0)
+        form = _nested_form(num, m, knots, declared, d0)
     if missing := [bl for bl, k in form[0].items() if k and bl not in declared]:
         d, q = missing[0].direction, missing[0].offset
         raise NotRepresentable("MissingBreakline", f"kink on {list(d)}.x = {q}")
-    return _read_off(breaklines, form)
+    return _read_off(declared, form)

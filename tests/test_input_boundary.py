@@ -1,15 +1,17 @@
 """Inputs from outside the program: every one exits 0, 1 or 2, never a traceback.
 
 Regression tests for deep expression nesting, deeply nested JSON,
-non-integer JSON integer fields and unbounded ``random`` runs, then an
-in-process Hypothesis fuzz of the CLI on tuples, forms and specs and on the
-``--x``, ``--r`` and ``--cap`` arguments.
+non-integer JSON integer fields, unbounded ``random`` runs and input errors,
+each of which must name its file, then an in-process Hypothesis fuzz of the
+CLI on tuples, forms and specs and on the ``--x``, ``--r`` and ``--cap``
+arguments.
 """
 
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -68,7 +70,7 @@ def nested(groups):
 def test_deep_nesting_exits_2(expr, breaklines):
     code, out, err = invoke(["synth"], [{"expr": expr, "breaklines": breaklines}])
     assert code == 2 and out == ""
-    assert err.startswith("error: parse error at position ")
+    assert re.match(r"error: .+in0\.json: parse error at position ", err)
     assert f"expected at most {_MAX_DEPTH} levels of nesting" in err
 
 
@@ -193,6 +195,43 @@ def test_random_is_bounded(argv, message):
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith(f"error: {message}"), proc.stderr
+
+
+# -- every input error names its file --------------------------------------
+
+BAD_FILES = {
+    "json-syntax": b"{",
+    "not-utf-8": b'{"W1": [["\xff"]], "b1": ["0"], "W2": ["1"], "b2": "0"}',
+    "zero-denominator": json.dumps({**RELU_NET, "b2": "1/0"}).encode(),
+    "boolean-weight": json.dumps({**RELU_NET, "W2": [True]}).encode(),
+    "zero-width-net": json.dumps({**RELU_NET, "W1": [[]]}).encode(),
+    "expr-parse-error": json.dumps({"expr": "relu(", "breaklines": "auto"}).encode(),
+    "missing-key": json.dumps({"W1": [["1"]], "b1": ["0"], "W2": ["1"]}).encode(),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["canon", "bad"],
+        ["eval", "bad", "--x", "1"],
+        ["synth", "bad"],
+        ["equiv", "bad", "good"],
+        ["equiv", "good", "bad"],
+    ],
+    ids=["canon", "eval", "synth", "equiv-left", "equiv-right"],
+)
+@pytest.mark.parametrize("name", BAD_FILES)
+def test_every_input_error_names_its_file(tmp_path, name, argv):
+    bad, good = tmp_path / f"{name}.json", tmp_path / "good.json"
+    bad.write_bytes(BAD_FILES[name])
+    good.write_text(json.dumps(RELU_NET))
+    paths = {"bad": str(bad), "good": str(good)}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run([paths.get(a, a) for a in argv])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith(f"error: {bad}: ") and "Traceback" not in err.getvalue()
 
 
 # -- CLI fuzz on tuples, forms, specs and arguments -------------------------

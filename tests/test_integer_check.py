@@ -57,6 +57,7 @@ def reference_synthesize_evaluator(f, breaklines, d0, seed=0, check=True, n_veri
         violation = check_transversality(breaklines)
         if violation is not None:
             raise NotTransversal(violation)
+    breaklines = list(dict.fromkeys(breaklines))  # unchecked, a repeat is one breakline
     residual = f
     peeled = []
     for k in range(len(breaklines) - 1, -1, -1):

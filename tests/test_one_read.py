@@ -4,8 +4,10 @@
 reads ``"auto"`` breaklines and the closed-form network off that one compile.
 So ``"auto"`` must give what declaring the auto breaklines gives, a nested
 ``"auto"`` spec must raise ``flat_form``'s NotFlat, and the counts of
-outermost compiles and ``expr_dim`` walks per call are pinned.  ``jsonio`` passes ``"auto"`` through, so commands that take no
-spec report their own error on a nested ``"auto"`` spec.
+outermost compiles and ``expr_dim`` walks per call are pinned: ``jsonio``
+walks no expression, as ``synthesize`` checks declared dimensions.  ``jsonio``
+passes ``"auto"`` through, so commands that take no spec report their own
+error on a nested ``"auto"`` spec.
 """
 
 import contextlib
@@ -70,7 +72,7 @@ def counts(monkeypatch):
 
     for module in (pwa, synthesis):
         monkeypatch.setattr(module, "_compile", counted_compile)
-    for module in (pwa, synthesis, jsonio):
+    for module in (pwa, synthesis):
         monkeypatch.setattr(module, "expr_dim", counted_expr_dim)
     return counts
 
@@ -100,22 +102,21 @@ def invoke(argv):
 
 
 @pytest.mark.parametrize(
-    "data, flags, walks",
+    "data, flags",
     [
-        ({"expr": FLAT, "breaklines": "auto"}, [], 1),
-        ({"expr": FLAT, "breaklines": "auto"}, ["--unchecked"], 1),
-        ({"expr": FLAT, "breaklines": FLAT_DECLARED}, [], 2),
-        ({"expr": NESTED, "breaklines": [{"d": [1], "q": "0"}, {"d": [1], "q": "1"}]}, [], 2),
+        ({"expr": FLAT, "breaklines": "auto"}, []),
+        ({"expr": FLAT, "breaklines": "auto"}, ["--unchecked"]),
+        ({"expr": FLAT, "breaklines": FLAT_DECLARED}, []),
+        ({"expr": NESTED, "breaklines": [{"d": [1], "q": "0"}, {"d": [1], "q": "1"}]}, []),
     ],
     ids=["auto", "auto-unchecked", "declared-flat", "declared-nested"],
 )
-def test_one_compile_per_synth_command(counts, tmp_path, data, flags, walks):
-    # jsonio walks expr_dim once more to check declared breakline dimensions
+def test_one_compile_per_synth_command(counts, tmp_path, data, flags):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     code, _, err = invoke(["synth", str(path), *flags])
     assert (code, err) == (0, "")
-    assert counts == {"compile": 1, "expr_dim": walks}
+    assert counts == {"compile": 1, "expr_dim": 1}
 
 
 def test_peek_and_next_run_no_regex(monkeypatch):

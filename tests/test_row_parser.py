@@ -193,7 +193,7 @@ NOT_RATIONAL = "{path}: cannot interpret %r as a rational"
         ({**RELU_FORM, "affine": [True]}, NOT_RATIONAL % True),
         ({**RELU_FORM, "terms": [{"d": [1], "q": False, "kink": "1"}]}, NOT_RATIONAL % False),
         ({**RELU_TUPLE, "bias": True}, NOT_RATIONAL % True),
-        ({"W1": [[]], "b1": ["0"], "W2": ["1"], "b2": "0"}, "a net needs d0 >= 1, not 0"),
+        ({"W1": [[]], "b1": ["0"], "W2": ["1"], "b2": "0"}, "{path}: a net needs d0 >= 1, not 0"),
     ],
     ids=["net-booleans", "net-b2", "form-affine", "form-offset", "tuple-bias", "zero-width-net"],
 )
